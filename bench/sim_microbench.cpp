@@ -38,7 +38,6 @@
 #include "faultinject/campaign_io.hpp"
 #include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
-#include "faultinject/trial_speed.hpp"
 #include "faultinject/uarch_campaign.hpp"
 #include "faultinject/vm_campaign.hpp"
 #include "uarch/core.hpp"
@@ -298,22 +297,14 @@ void write_uarch_inner_report() {
     // compared (a trial's convergence probe pays exactly this).
     const double equal_ns = time_ns(
         64, [&] { benchmark::DoNotOptimize(warm.state_equal(twin)); });
-    // Arena restore: copy-assign into a persistent image (the per-trial
-    // setup cost with the trial arena on).
-    uarch::Core arena = warm;
-    const double restore_ns = time_ns(64, [&] {
-      arena = warm;
-      benchmark::DoNotOptimize(arena.cycle_count());
-    });
 
     if (out != nullptr) {
       std::fprintf(out,
                    "%s    {\"workload\": \"%s\", \"core_cycles_per_sec\": "
                    "%.0f, \"vm_insns_per_sec\": %.0f, \"state_hash_ns\": "
-                   "%.1f, \"state_equal_ns\": %.1f, \"arena_restore_ns\": "
-                   "%.1f}",
+                   "%.1f, \"state_equal_ns\": %.1f}",
                    first ? "" : ",\n", wl.name.c_str(), core_cps, vm_ips,
-                   hash_ns, equal_ns, restore_ns);
+                   hash_ns, equal_ns);
     }
     first = false;
     std::printf("inner %-7s: core %.2f Mcyc/s, vm %.2f Minsn/s, "
@@ -327,8 +318,8 @@ void write_uarch_inner_report() {
   std::printf("-> BENCH_uarch_inner.json\n");
 }
 
-// End-to-end campaign throughput across all seven workloads, trial-speed
-// fast paths off vs. on. Both runs produce byte-identical trial records
+// End-to-end campaign throughput across all seven workloads, convergence
+// shortcut off vs. on. Both runs produce byte-identical trial records
 // (test_trial_speed proves it); only the clock differs.
 void write_campaign_report() {
   faultinject::UarchCampaignConfig config;
@@ -341,7 +332,6 @@ void write_campaign_report() {
     double rate = 0.0;
   };
   const auto run_once = [&config] {
-    faultinject::clear_continuation_cache();
     const auto start = Clock::now();
     const auto result = faultinject::run_uarch_campaign(config);
     const auto stop = Clock::now();
@@ -353,16 +343,11 @@ void write_campaign_report() {
     return t;
   };
 
-  faultinject::TrialSpeedConfig off;
-  off.continuation_cache = false;
-  off.trial_arena = false;
-  off.convergence_shortcut = false;
-  faultinject::set_trial_speed(off);
+  faultinject::set_convergence_shortcut(false);
   const Timing baseline = run_once();
 
-  faultinject::set_trial_speed(faultinject::TrialSpeedConfig{});
+  faultinject::set_convergence_shortcut(true);
   const Timing optimized = run_once();
-  const auto cache = faultinject::continuation_cache_stats();
 
   const double speedup =
       optimized.rate > 0 && baseline.rate > 0 ? optimized.rate / baseline.rate
@@ -382,19 +367,14 @@ void write_campaign_report() {
         "\"trials_per_sec\": %.1f},\n"
         "  \"optimized\": {\"trials\": %llu, \"wall_ms\": %.1f, "
         "\"trials_per_sec\": %.1f},\n"
-        "  \"speedup\": %.2f,\n"
-        "  \"continuation_cache\": {\"hits\": %llu, \"misses\": %llu, "
-        "\"evictions\": %llu}\n"
+        "  \"speedup\": %.2f\n"
         "}\n",
         kBenchSchemaVersion, static_cast<unsigned long long>(config.seed),
         static_cast<unsigned long long>(config.trials_per_workload),
         static_cast<unsigned long long>(config.monitor_cycles),
         static_cast<unsigned long long>(baseline.trials), baseline.wall_ms,
         baseline.rate, static_cast<unsigned long long>(optimized.trials),
-        optimized.wall_ms, optimized.rate, speedup,
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.evictions));
+        optimized.wall_ms, optimized.rate, speedup);
     std::fclose(out);
   }
   std::printf("campaign: baseline %.1f trials/s, optimized %.1f trials/s "
@@ -435,7 +415,6 @@ void write_faultmodel_report() {
     config.monitor_cycles = 2000;
     config.catchup_cycles = 2000;
     config.fault_model.model = models[i].second;
-    faultinject::clear_continuation_cache();
     const auto start = Clock::now();
     const auto result = faultinject::run_uarch_campaign(config);
     const auto stop = Clock::now();

@@ -1,12 +1,8 @@
 #include "faultinject/uarch_campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -16,7 +12,6 @@
 #include "faultinject/classify.hpp"
 #include "faultinject/containment.hpp"
 #include "faultinject/orchestrator.hpp"
-#include "faultinject/trial_speed.hpp"
 #include "vm/memory.hpp"
 
 namespace restore::faultinject {
@@ -26,6 +21,9 @@ using uarch::StateRegistry;
 using uarch::SymptomEvent;
 
 namespace {
+
+// Backs convergence_shortcut() / set_convergence_shortcut().
+std::atomic<bool> g_convergence_shortcut{true};
 
 // Convergence-checkpoint schedule over the monitor window: dense while young
 // (most masked faults are overwritten within a few hundred cycles) and sparse
@@ -99,8 +97,32 @@ u64 effective_page_cap(const ResourceBudget& budget) {
   return cap;
 }
 
-// Runs one trial. `faulty` must be a fresh copy of the injection-point core
-// (callers either construct it or restore a per-shard arena image in place);
+// Folds one symptom event into the record's first-occurrence latencies
+// (retired instructions since the injection point's retirement count `base`).
+void record_symptom(UarchTrialRecord& record, const SymptomEvent& ev, u64 base) {
+  const u64 latency = ev.retired_count >= base ? ev.retired_count - base : 0;
+  switch (ev.kind) {
+    case SymptomEvent::Kind::kException:
+      record.lat_exception = std::min(record.lat_exception, latency);
+      break;
+    case SymptomEvent::Kind::kHighConfMispredict:
+      record.lat_hiconf = std::min(record.lat_hiconf, latency);
+      break;
+    case SymptomEvent::Kind::kWatchdog:
+      record.lat_deadlock = std::min(record.lat_deadlock, latency);
+      break;
+    case SymptomEvent::Kind::kIllegalFlow:
+      record.lat_illegal_flow = std::min(record.lat_illegal_flow, latency);
+      break;
+    case SymptomEvent::Kind::kCacheMissBurst:
+      record.lat_cache_burst = std::min(record.lat_cache_burst, latency);
+      break;
+    default:
+      break;
+  }
+}
+
+// Runs one trial. `faulty` must be a fresh copy of the injection-point core;
 // run_trial flips every bit of the plan and monitors from there. A transient
 // (SET) plan additionally reverts, after the first monitored cycle, every
 // planned bit whose latch still holds the flipped value: the glitched
@@ -201,27 +223,7 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
       }
     }
     for (const auto& ev : faulty.symptoms_this_cycle()) {
-      const u64 latency =
-          ev.retired_count >= base ? ev.retired_count - base : 0;
-      switch (ev.kind) {
-        case SymptomEvent::Kind::kException:
-          record.lat_exception = std::min(record.lat_exception, latency);
-          break;
-        case SymptomEvent::Kind::kHighConfMispredict:
-          record.lat_hiconf = std::min(record.lat_hiconf, latency);
-          break;
-        case SymptomEvent::Kind::kWatchdog:
-          record.lat_deadlock = std::min(record.lat_deadlock, latency);
-          break;
-        case SymptomEvent::Kind::kIllegalFlow:
-          record.lat_illegal_flow = std::min(record.lat_illegal_flow, latency);
-          break;
-        case SymptomEvent::Kind::kCacheMissBurst:
-          record.lat_cache_burst = std::min(record.lat_cache_burst, latency);
-          break;
-        default:
-          break;
-      }
+      record_symptom(record, ev, base);
     }
     if (shortcut_eligible && next_cp < golden.checkpoint_offsets.size() &&
         c + 1 == golden.checkpoint_offsets[next_cp]) {
@@ -244,28 +246,7 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     // golden.end_core. The catchup phase is a no-op: the converged machine
     // reaches exactly the golden retirement boundary inside the window.
     for (const auto& gs : golden.symptoms) {
-      if (gs.cycle_offset <= converged_offset) continue;
-      const u64 latency =
-          gs.ev.retired_count >= base ? gs.ev.retired_count - base : 0;
-      switch (gs.ev.kind) {
-        case SymptomEvent::Kind::kException:
-          record.lat_exception = std::min(record.lat_exception, latency);
-          break;
-        case SymptomEvent::Kind::kHighConfMispredict:
-          record.lat_hiconf = std::min(record.lat_hiconf, latency);
-          break;
-        case SymptomEvent::Kind::kWatchdog:
-          record.lat_deadlock = std::min(record.lat_deadlock, latency);
-          break;
-        case SymptomEvent::Kind::kIllegalFlow:
-          record.lat_illegal_flow = std::min(record.lat_illegal_flow, latency);
-          break;
-        case SymptomEvent::Kind::kCacheMissBurst:
-          record.lat_cache_burst = std::min(record.lat_cache_burst, latency);
-          break;
-        default:
-          break;
-      }
+      if (gs.cycle_offset > converged_offset) record_symptom(record, gs.ev, base);
     }
     record.end_status = golden.end_core.status();
     if (record.end_status == Core::Status::kFaulted ||
@@ -323,11 +304,12 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
        ++c) {
     faulty.cycle();
     for (const auto& ev : faulty.symptoms_this_cycle()) {
-      const u64 latency = ev.retired_count >= base ? ev.retired_count - base : 0;
-      if (ev.kind == SymptomEvent::Kind::kException) {
-        record.lat_exception = std::min(record.lat_exception, latency);
-      } else if (ev.kind == SymptomEvent::Kind::kWatchdog) {
-        record.lat_deadlock = std::min(record.lat_deadlock, latency);
+      // Catch-up only decides end-of-trial corruption; the detectors were
+      // judged over the monitor window. So only the symptoms that stop the
+      // machine (an ISA exception, a watchdog deadlock) are recorded here.
+      if (ev.kind == SymptomEvent::Kind::kException ||
+          ev.kind == SymptomEvent::Kind::kWatchdog) {
+        record_symptom(record, ev, base);
       }
     }
   }
@@ -385,102 +367,15 @@ u64 clean_cycle_count(const workloads::Workload& wl,
   return store.cache.emplace(key, cycles).first->second;
 }
 
-// Bounded, mutex-sharded LRU of golden continuations, shared across shards
-// and campaigns. A continuation is a pure function of its key — (core
-// config, workload, injection cycle, monitor window, checkpoint flag) — so a
-// cache hit is transparent; a miss is built OUTSIDE the shard lock (two
-// threads may briefly build the same continuation; both builds are
-// deterministic and identical, and the first insert wins).
-class ContinuationCache {
- public:
-  using Value = std::shared_ptr<const GoldenContinuation>;
-
-  Value get_or_build(const std::string& key, std::size_t capacity,
-                     const std::function<Value()>& build) {
-    Shard& shard = shards_[shard_index(key)];
-    {
-      MutexLock lock(shard.mutex);
-      for (auto& entry : shard.entries) {
-        if (entry.key == key) {
-          entry.tick = ++shard.tick;
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return entry.value;
-        }
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    Value built = build();
-    const std::size_t per_shard = std::max<std::size_t>(1, capacity / kShards);
-    MutexLock lock(shard.mutex);
-    for (auto& entry : shard.entries) {
-      if (entry.key == key) {  // raced: share the winner's continuation
-        entry.tick = ++shard.tick;
-        return entry.value;
-      }
-    }
-    while (shard.entries.size() >= per_shard) {
-      std::size_t oldest = 0;
-      for (std::size_t i = 1; i < shard.entries.size(); ++i) {
-        if (shard.entries[i].tick < shard.entries[oldest].tick) oldest = i;
-      }
-      shard.entries.erase(shard.entries.begin() +
-                          static_cast<std::ptrdiff_t>(oldest));
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.entries.push_back({key, built, ++shard.tick});
-    return built;
-  }
-
-  ContinuationCacheStats stats() const noexcept {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed),
-            evictions_.load(std::memory_order_relaxed)};
-  }
-
-  void clear() noexcept {
-    for (auto& shard : shards_) {
-      MutexLock lock(shard.mutex);
-      shard.entries.clear();
-      shard.tick = 0;
-    }
-  }
-
- private:
-  static constexpr std::size_t kShards = 8;
-
-  struct Entry {
-    std::string key;
-    Value value;
-    u64 tick = 0;
-  };
-  struct Shard {
-    Mutex mutex;
-    std::vector<Entry> entries RESTORE_GUARDED_BY(mutex);
-    u64 tick RESTORE_GUARDED_BY(mutex) = 0;
-  };
-
-  static std::size_t shard_index(const std::string& key) noexcept {
-    return static_cast<std::size_t>(fnv1a(key)) % kShards;
-  }
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> evictions_{0};
-};
-
-ContinuationCache& continuation_cache() {
-  static ContinuationCache cache;
-  return cache;
-}
-
 }  // namespace
 
-ContinuationCacheStats continuation_cache_stats() noexcept {
-  return continuation_cache().stats();
+bool convergence_shortcut() noexcept {
+  return g_convergence_shortcut.load();
 }
 
-void clear_continuation_cache() noexcept { continuation_cache().clear(); }
+void set_convergence_shortcut(bool enabled) noexcept {
+  g_convergence_shortcut.store(enabled);
+}
 
 UarchTrialRecord run_uarch_trial(const Core& golden_at_point,
                                  const uarch::BitRef& bit, u64 monitor_cycles,
@@ -496,8 +391,7 @@ UarchTrialRecord run_uarch_plan_trial(const Core& golden_at_point,
                                       const InjectionPlan& plan,
                                       u64 monitor_cycles, u64 catchup_cycles,
                                       const ResourceBudget& trial_budget) {
-  const bool with_checkpoints =
-      trial_speed().convergence_shortcut && trial_budget.unlimited();
+  const bool with_checkpoints = convergence_shortcut() && trial_budget.unlimited();
   GoldenContinuation golden(golden_at_point, monitor_cycles, with_checkpoints);
   Core faulty = golden_at_point;
   return run_trial(faulty, golden, plan, monitor_cycles, catchup_cycles,
@@ -526,8 +420,8 @@ UarchTrialRecord aborted_uarch_record(const uarch::BitRef& bit,
 // One shard: a contiguous trial range of one workload, grouped into
 // injection points of `trials_per_point` trials. The shard samples its
 // injection cycles and bits from its own RNG stream, advances its own golden
-// core through the sorted points (snapshotting each — a cheap COW fork) and
-// runs the point's trials against the shared continuation. Shards are
+// core through the sorted points, builds each point's golden continuation and
+// runs the point's trials against it. Shards are
 // independent, so the campaign parallelizes across shards with no
 // cross-shard state at all.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
@@ -582,47 +476,24 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
     }
   }
 
-  // Trial-speed fast paths are snapshotted once per shard; all of them keep
-  // the produced records byte-identical (see trial_speed.hpp).
-  const TrialSpeedConfig speed = trial_speed();
+  // The shortcut switch is read once per shard; either setting produces the
+  // same records.
   const bool with_checkpoints =
-      speed.convergence_shortcut && config.trial_budget.unlimited();
+      convergence_shortcut() && config.trial_budget.unlimited();
 
   std::vector<UarchTrialRecord> records;
   records.reserve(shard.trial_count);
   Core golden(wl.program, config.core_config);
-  TrialArena<Core> arena;
   for (u64 p = 0; p < points; ++p) {
     while (golden.running() && golden.cycle_count() < cycles[p]) golden.cycle();
     if (!golden.running()) break;  // sampled past program end; drop the tail
-    const Core at_point = golden;
 
-    // The continuation is a pure function of this key, so it is shared
-    // across every bit of this point, across shards that sampled the same
-    // cycle, and across repeated campaigns in one process.
-    std::shared_ptr<const GoldenContinuation> shared;
-    std::optional<GoldenContinuation> local;
-    if (speed.continuation_cache) {
-      std::ostringstream key;
-      key << core_config_key(config.core_config) << ';' << wl.name << ';'
-          << at_point.cycle_count() << ';' << config.monitor_cycles << ';'
-          << (with_checkpoints ? 1 : 0);
-      shared = continuation_cache().get_or_build(
-          key.str(), speed.continuation_cache_capacity, [&] {
-            // simlint: allow(PERF-ALLOC) -- built once per cache miss, amortised across the point's trials
-            return std::make_shared<const GoldenContinuation>(
-                at_point, config.monitor_cycles, with_checkpoints);
-          });
-    } else {
-      local.emplace(at_point, config.monitor_cycles, with_checkpoints);
-    }
-    const GoldenContinuation& continuation = shared ? *shared : *local;
-
+    const GoldenContinuation continuation(golden, config.monitor_cycles,
+                                          with_checkpoints);
     for (const auto& plan : plans[p]) {
       UarchTrialRecord record;
       const auto abort = contain_trial([&] {
-        if (!speed.trial_arena) arena.clear();
-        Core& faulty = arena.reset_to(at_point);
+        Core faulty = golden;
         record = run_trial(faulty, continuation, plan, config.monitor_cycles,
                            config.catchup_cycles, config.trial_budget);
       });

@@ -10,7 +10,6 @@
 #include "common/thread_annotations.hpp"
 #include "faultinject/containment.hpp"
 #include "faultinject/orchestrator.hpp"
-#include "faultinject/trial_speed.hpp"
 #include "vm/vm.hpp"
 
 namespace restore::faultinject {
@@ -65,9 +64,7 @@ namespace {
 // Common monitoring/classification once the corrupted VM is positioned just
 // past `inject_index`. `trial_budget` bounds the monitored run
 // deterministically (BudgetExceeded propagates to the containment boundary).
-// Monitors in place: the campaign shard reuses one arena-held VM across its
-// trials, so the monitored machine is a caller-owned lvalue rather than a
-// by-value copy constructed (and heap-churned) per trial.
+// Monitors the caller's machine in place (the caller forks it from golden).
 VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
                             u64 inject_index, u32 bit, u64 overrun_budget,
                             const ResourceBudget& trial_budget = {});
@@ -344,8 +341,6 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
   vm::Vm golden_vm(wl.program);
   u64 steps = 0;
   const u64 page_cap = effective_page_cap(config.trial_budget);
-  const bool use_arena = trial_speed().trial_arena;
-  TrialArena<vm::Vm> arena;
   for (const std::size_t oi : order) {
     const PlannedTrial& plan = plans[oi];
     if (!plan.upset) {
@@ -363,8 +358,7 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
         ++steps;
       }
       const auto abort = contain_trial([&] {
-        if (!use_arena) arena.clear();
-        vm::Vm& faulty = arena.reset_to(golden_vm);
+        vm::Vm faulty = golden_vm;
         faulty.memory().set_page_budget(page_cap);
         if (plan.flip_reg) {
           faulty.set_reg(plan.reg, flip_bit(faulty.reg(plan.reg), plan.bit));

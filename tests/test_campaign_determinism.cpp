@@ -5,15 +5,21 @@
 // uarch (Figure 4 style) campaigns.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "faultinject/campaign_io.hpp"
 #include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
 #include "faultinject/uarch_campaign.hpp"
 #include "faultinject/vm_campaign.hpp"
+
+#ifndef RESTORE_GOLDEN_UARCH_DIGEST
+#error "RESTORE_GOLDEN_UARCH_DIGEST must point at tests/golden/uarch_trace_digest.txt"
+#endif
 
 namespace restore::faultinject {
 namespace {
@@ -80,6 +86,49 @@ TEST(CampaignDeterminism, UarchCampaignIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(exports[0], exports[2]);
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_EQ(traces[0], traces[2]);
+}
+
+// Absolute pin of uarch trace content. Every other uarch identity test
+// compares two runs of the current code, so a change that shifts both sides
+// alike (say, the catch-up phase starting to record symptoms it used to
+// ignore) would pass them all; this one compares against a committed digest.
+// The short window sends many diverged trials through the catch-up phase.
+TEST(CampaignDeterminism, UarchTraceMatchesCommittedDigest) {
+  UarchCampaignConfig config;
+  config.seed = 0xD377;
+  config.trials_per_workload = 24;
+  config.trials_per_point = 4;
+  config.workloads = {"gzip", "mcf"};
+  config.monitor_cycles = 500;
+  config.catchup_cycles = 2'000;
+
+  CampaignRunOptions opts;
+  opts.workers = 2;
+  opts.shard_trials = 8;
+  opts.out_jsonl = temp_trace("uarch_golden_digest");
+  const auto result = run_uarch_campaign(config, opts);
+  ASSERT_EQ(result.trials.size(), 48u);
+
+  // Corruption found at the end with the core still running or halted can
+  // only come from the catch-up comparison: the pin really covers that phase.
+  std::size_t caught_up = 0;
+  for (const auto& trial : result.trials) {
+    if (trial.arch_corrupt_at_end &&
+        (trial.end_status == uarch::Core::Status::kRunning ||
+         trial.end_status == uarch::Core::Status::kHalted)) {
+      ++caught_up;
+    }
+  }
+  EXPECT_GT(caught_up, 0u);
+
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(fnv1a(slurp(opts.out_jsonl))));
+  std::string golden = slurp(RESTORE_GOLDEN_UARCH_DIGEST);
+  while (!golden.empty() && golden.back() == '\n') golden.pop_back();
+  EXPECT_EQ(golden, digest)
+      << "uarch trace content changed. If the change is intended, write the "
+         "new digest into tests/golden/uarch_trace_digest.txt.";
 }
 
 // Expanded fault models draw their plans from per-shard substreams

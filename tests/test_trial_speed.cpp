@@ -1,20 +1,16 @@
-// Equivalence regression for the trial inner-loop fast paths: the
-// continuation cache, the trial arena and the convergence shortcut are pure
-// optimisations, so a fixed-seed campaign must produce byte-identical
-// exports and JSONL traces with every fast path on and every fast path off,
-// at any worker count — and under an eviction-thrashing one-entry cache.
+// Equivalence regression for the trial inner-loop fast path: the convergence
+// shortcut is a pure optimisation, so a fixed-seed campaign must produce
+// byte-identical exports and JSONL traces with the shortcut on and off, at
+// any worker count.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
-#include "faultinject/trial_speed.hpp"
 #include "faultinject/uarch_campaign.hpp"
-#include "faultinject/vm_campaign.hpp"
 
 namespace restore::faultinject {
 namespace {
@@ -31,23 +27,12 @@ std::string temp_trace(const std::string& tag) {
   return testing::TempDir() + "restore_trial_speed_" + tag + ".jsonl";
 }
 
-// Restores the process-wide trial-speed config (and drains the continuation
-// cache) when a test exits, so test order cannot leak settings.
+// Turns the process-wide shortcut back on when a test exits, so test order
+// cannot leak the setting.
 class TrialSpeedTest : public testing::Test {
  protected:
-  void TearDown() override {
-    set_trial_speed(TrialSpeedConfig{});
-    clear_continuation_cache();
-  }
+  void TearDown() override { set_convergence_shortcut(true); }
 };
-
-TrialSpeedConfig all_off() {
-  TrialSpeedConfig config;
-  config.continuation_cache = false;
-  config.trial_arena = false;
-  config.convergence_shortcut = false;
-  return config;
-}
 
 struct UarchRun {
   std::string csv;
@@ -72,23 +57,20 @@ TEST_F(TrialSpeedTest, UarchFastPathsAreByteIdenticalAcrossWorkerCounts) {
   config.seed = 0x5EED;
   config.trials_per_workload = 12;
   config.workloads = {"gzip", "mcf"};
-  // Short window keeps the reference (all-off) runs fast; the convergence
-  // shortcut still fires via the dense early checkpoints.
+  // Short window keeps the reference (shortcut off) runs fast; the
+  // convergence shortcut still fires via the dense early checkpoints.
   config.monitor_cycles = 2'000;
   config.catchup_cycles = 2'000;
 
-  set_trial_speed(all_off());
-  clear_continuation_cache();
+  set_convergence_shortcut(false);
   const UarchRun reference = run_uarch(config, 0, "uarch_off_w0");
 
   int run = 0;
   for (const std::size_t workers : {0u, 2u, 8u}) {
-    set_trial_speed(all_off());
-    clear_continuation_cache();
+    set_convergence_shortcut(false);
     const UarchRun off = run_uarch(
         config, workers, "uarch_off_" + std::to_string(run));
-    set_trial_speed(TrialSpeedConfig{});
-    clear_continuation_cache();
+    set_convergence_shortcut(true);
     const UarchRun on = run_uarch(
         config, workers, "uarch_on_" + std::to_string(run));
     ++run;
@@ -96,69 +78,6 @@ TEST_F(TrialSpeedTest, UarchFastPathsAreByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(reference.trace, off.trace) << "workers=" << workers;
     EXPECT_EQ(reference.csv, on.csv) << "workers=" << workers;
     EXPECT_EQ(reference.trace, on.trace) << "workers=" << workers;
-  }
-  // The fast-path runs must actually have exercised the cache.
-  const auto stats = continuation_cache_stats();
-  EXPECT_GT(stats.misses, 0u);
-}
-
-TEST_F(TrialSpeedTest, LruEvictionUnderPressureStaysDeterministic) {
-  UarchCampaignConfig config;
-  config.seed = 0x5EEE;
-  config.trials_per_workload = 16;
-  config.workloads = {"gzip"};
-  config.monitor_cycles = 1'000;
-  config.catchup_cycles = 1'000;
-  // Several injection points per shard so a one-entry cache must evict
-  // continuously while the shard works through its points.
-  config.trials_per_point = 2;
-
-  set_trial_speed(all_off());
-  clear_continuation_cache();
-  const UarchRun reference = run_uarch(config, 0, "lru_off");
-
-  TrialSpeedConfig tiny;
-  tiny.continuation_cache_capacity = 1;
-  set_trial_speed(tiny);
-  clear_continuation_cache();
-  const UarchRun thrashed = run_uarch(config, 2, "lru_tiny");
-  const auto stats = continuation_cache_stats();
-
-  EXPECT_EQ(reference.csv, thrashed.csv);
-  EXPECT_EQ(reference.trace, thrashed.trace);
-  EXPECT_GT(stats.evictions, 0u);  // the pressure was real
-}
-
-TEST_F(TrialSpeedTest, VmArenaIsByteIdenticalAcrossWorkerCounts) {
-  VmCampaignConfig config;
-  config.seed = 0x5EEF;
-  config.trials_per_workload = 24;
-  config.workloads = {"gzip", "mcf"};
-
-  set_trial_speed(all_off());
-  const auto reference = [&] {
-    CampaignRunOptions opts;
-    opts.workers = 0;
-    opts.shard_trials = 8;
-    opts.out_jsonl = temp_trace("vm_off");
-    const auto result = run_vm_campaign(config, opts);
-    std::ostringstream csv;
-    write_vm_trials_csv(csv, result.trials);
-    return UarchRun{csv.str(), slurp(opts.out_jsonl)};
-  }();
-
-  set_trial_speed(TrialSpeedConfig{});
-  int run = 0;
-  for (const std::size_t workers : {0u, 2u, 8u}) {
-    CampaignRunOptions opts;
-    opts.workers = workers;
-    opts.shard_trials = 8;
-    opts.out_jsonl = temp_trace("vm_on_" + std::to_string(run++));
-    const auto result = run_vm_campaign(config, opts);
-    std::ostringstream csv;
-    write_vm_trials_csv(csv, result.trials);
-    EXPECT_EQ(reference.csv, csv.str()) << "workers=" << workers;
-    EXPECT_EQ(reference.trace, slurp(opts.out_jsonl)) << "workers=" << workers;
   }
 }
 
@@ -173,12 +92,10 @@ TEST_F(TrialSpeedTest, BudgetedTrialsMatchWithFastPathsOn) {
   config.catchup_cycles = 1'000;
   config.trial_budget.max_cycles = 1'500;
 
-  set_trial_speed(all_off());
-  clear_continuation_cache();
+  set_convergence_shortcut(false);
   const UarchRun reference = run_uarch(config, 0, "budget_off");
 
-  set_trial_speed(TrialSpeedConfig{});
-  clear_continuation_cache();
+  set_convergence_shortcut(true);
   const UarchRun fast = run_uarch(config, 2, "budget_on");
 
   EXPECT_EQ(reference.csv, fast.csv);

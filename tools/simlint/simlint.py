@@ -42,8 +42,9 @@ simlint checks all three statically, with seven rule families:
                           make_unique/make_shared and whole-container copies
                           run once per trial — hundreds of thousands of
                           times per campaign — so each must be hoisted,
-                          amortised (arena/cache), or carry an inline
-                          allow() ledger entry explaining why it is cold.
+                          amortised (once per injection point or shard),
+                          or carry an inline allow() ledger entry
+                          explaining why it is cold.
   CONC (lock discipline)  mutex-owning classes with mutable members missing
                           RESTORE_GUARDED_BY annotations (the clang thread-
                           safety analysis only enforces what is annotated),
@@ -569,21 +570,20 @@ def check_iter(files: list[SourceFile], cfg: dict) -> list[Finding]:
 
 # The trial inner loop (run_trial and everything it calls per cycle) executes
 # once per injected bit; a campaign runs it ~10^5-10^6 times. A single naked
-# heap allocation there dominates the profile, which is exactly what the
-# TrialArena / ContinuationCache work removed. These rules only apply to the
+# heap allocation there dominates the profile. These rules only apply to the
 # files declared in perf.hot_paths; genuinely cold allocations inside them
-# (one-time statics, per-cache-miss builds) carry allow() ledger entries.
+# (one-time statics, once-per-point builds) carry allow() ledger entries.
 PERF_PATTERNS: list[tuple[re.Pattern, str]] = [
     (
         re.compile(r"(?<![\w:.])new\s+[\w:(]"),
         "naked `new` in a trial hot path allocates per call; hoist it out of "
-        "the inner loop or reuse an arena slot",
+        "the inner loop",
     ),
     (
         re.compile(r"\bstd::make_(?:unique|shared)\s*<"),
         "make_unique/make_shared in a trial hot path heap-allocates per "
-        "call; amortise it (continuation cache, arena) or add an allow() "
-        "entry explaining why the site is cold",
+        "call; amortise it (once per injection point or shard) or add an "
+        "allow() entry explaining why the site is cold",
     ),
     (
         re.compile(
