@@ -22,7 +22,6 @@
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "faultinject/export.hpp"
 #include "faultinject/vm_campaign.hpp"
 
 using namespace restore;
@@ -105,10 +104,6 @@ int main(int argc, char** argv) {
   const auto result = run_vm_campaign(config, opts, &telemetry);
   const int status = bench::report_campaign(telemetry, args);
   print_campaign(result);
-  if (const auto csv = args.value("csv")) {
-    faultinject::write_vm_trials_csv(*csv, result.trials);
-    std::printf("\nwrote per-trial data to %s\n", csv->c_str());
-  }
 
   // The follow-up study only makes sense over a complete main campaign, and
   // after a shutdown request the process should wind down, not start another

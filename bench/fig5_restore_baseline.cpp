@@ -11,7 +11,6 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "faultinject/classify.hpp"
-#include "faultinject/export.hpp"
 #include "faultinject/uarch_campaign.hpp"
 
 using namespace restore;
@@ -31,10 +30,6 @@ int main(int argc, char** argv) {
   const auto result = run_uarch_campaign(config, bench::campaign_options(args), &telemetry);
   const int status = bench::report_campaign(telemetry, args);
   std::printf("trials: %zu\n\n", result.trials.size());
-  if (const auto csv = args.value("csv")) {
-    faultinject::write_uarch_trials_csv(*csv, result.trials);
-    std::printf("wrote per-trial data to %s\n\n", csv->c_str());
-  }
 
   bench::print_uarch_category_table(result.trials,
                                     faultinject::DetectorModel::kJrsConfidence,

@@ -6,9 +6,9 @@
 # Proves the analytics acceptance contract on a tiny fixed-seed fig2 trace:
 #   1. compaction is byte-deterministic: two compactions at different
 #      --threads counts produce identical .cols files;
-#   2. the columnar outcome breakdown equals the one campaign_status
-#      computes from the source JSONL, row for row (both tools emit the
-#      same JSON array, so the comparison is a structural diff);
+#   2. the columnar outcome breakdown equals the one `restore-analyze status`
+#      computes from the source JSONL, row for row (both emit the same JSON
+#      array, so the comparison is a structural diff);
 #   3. the full report renders as valid JSON with the campaign's row count.
 set -euo pipefail
 
@@ -35,10 +35,11 @@ echo "== compaction byte-determinism (1 vs 8 threads) =="
 cmp "$WORK/t1.cols" "$WORK/t8.cols"
 echo "identical ($(wc -c <"$WORK/t1.cols") bytes)"
 
-echo "== outcome parity: columnar query vs campaign_status over the JSONL =="
+echo "== outcome parity: columnar query vs status over the JSONL =="
 "$BUILD_DIR/tools/restore-analyze" query "$WORK/t1.cols" \
   --query outcomes --json >"$WORK/store.json"
-"$BUILD_DIR/tools/campaign_status" "$WORK/fig2.jsonl" --json >"$WORK/status.json"
+"$BUILD_DIR/tools/restore-analyze" status "$WORK/fig2.jsonl" --json \
+  >"$WORK/status.json"
 python3 - "$WORK/store.json" "$WORK/status.json" <<'PY'
 import json, sys
 
@@ -47,8 +48,8 @@ status = json.load(open(sys.argv[2]))
 breakdown = status["breakdown"]
 if store != breakdown:
     print("check_analytics: breakdown mismatch", file=sys.stderr)
-    print(f"  restore-analyze: {json.dumps(store)}", file=sys.stderr)
-    print(f"  campaign_status: {json.dumps(breakdown)}", file=sys.stderr)
+    print(f"  query outcomes:  {json.dumps(store)}", file=sys.stderr)
+    print(f"  status:          {json.dumps(breakdown)}", file=sys.stderr)
     sys.exit(1)
 total = sum(row["count"] for row in store)
 print(f"parity OK: {len(store)} breakdown row(s), {total} trial(s)")
@@ -62,7 +63,7 @@ import json, sys
 
 report = json.load(open(sys.argv[1]))
 status = json.load(open(sys.argv[2]))
-trials = status["trials_done"]
+trials = status["totals"]["trials_done"]
 if report["rows"] != trials:
     print(f"check_analytics: report rows {report['rows']} != "
           f"campaign trials {trials}", file=sys.stderr)

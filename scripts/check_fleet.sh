@@ -11,7 +11,7 @@
 #      re-leased to the survivor;
 #   3. under all of that, the merged trace is byte-identical to the direct
 #      single-machine batch run;
-#   4. campaign_status surfaces the node quarantine and exits 3.
+#   4. `restore-analyze status` names the quarantined node and exits 3.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,16 +98,16 @@ echo "== trace byte-identity (fleet vs direct) =="
 cmp "$WORK/direct.jsonl" "$WORK/fleet.jsonl"
 echo "identical ($(wc -c <"$WORK/direct.jsonl") bytes)"
 
-echo "== campaign_status must surface the node quarantine and exit 3 =="
+echo "== status must name the quarantined node and exit 3 =="
 STATUS_EXIT=0
-"$BUILD_DIR/tools/campaign_status" "$WORK/fleet.jsonl" \
+"$BUILD_DIR/tools/restore-analyze" status "$WORK/fleet.jsonl" \
   | tee "$WORK/status.out" || STATUS_EXIT=$?
 if [[ "$STATUS_EXIT" -ne 3 ]]; then
-  echo "check_fleet: campaign_status exited $STATUS_EXIT (want 3)" >&2
+  echo "check_fleet: restore-analyze status exited $STATUS_EXIT (want 3)" >&2
   exit 1
 fi
-grep -q "quarantined fleet nodes" "$WORK/status.out" || {
-  echo "check_fleet: campaign_status output missing the node quarantine" >&2
+grep -q "quarantined fleet node $DEAD" "$WORK/status.out" || {
+  echo "check_fleet: status output missing the quarantined node $DEAD" >&2
   exit 1
 }
 

@@ -61,8 +61,8 @@ grep -q "served from spool" "$WORK/dup.out" || {
 
 "${CTL[@]}" list
 
-echo "== aggregate campaign_status over direct + spool traces =="
-"$BUILD_DIR/tools/campaign_status" "$WORK/direct.jsonl" "$WORK"/spool/vm-*.jsonl
+echo "== status over direct + spool traces =="
+"$BUILD_DIR/tools/restore-analyze" status "$WORK/direct.jsonl" "$WORK"/spool/vm-*.jsonl
 
 echo "== SIGTERM drains cleanly =="
 kill -TERM "$DAEMON"

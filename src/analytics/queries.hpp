@@ -8,8 +8,8 @@
 //
 // Parity contract: `outcome_counts` reproduces faultinject::model_breakdown
 // exactly (uarch traces classified with the perfect-cfv detector and baseline
-// pipeline at `interval`), so a columnar query and campaign_status over the
-// source JSONL must agree to the last trial.
+// pipeline at `interval`), so a columnar query and `restore-analyze status`
+// over the source JSONL must agree to the last trial.
 #pragma once
 
 #include <cstddef>

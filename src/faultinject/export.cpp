@@ -4,11 +4,8 @@
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#include "faultinject/campaign_io.hpp"
 
 namespace restore::faultinject {
 
@@ -24,20 +21,6 @@ std::ofstream open_or_throw(const std::string& path) {
   return out;
 }
 
-// Split one CSV row (none of our columns are quoted or contain commas).
-std::vector<std::string> split_row(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream in(line);
-  while (std::getline(in, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
-
-u64 parse_latency_cell(const std::string& cell) {
-  return cell.empty() ? kNever : std::stoull(cell);
-}
-
 // extra_bits cells hold the whole vector semicolon-separated ("3;17"; empty
 // cell = no extra bits), keeping the row a single unquoted CSV record.
 void extra_bits_cell(std::ostream& out, const std::vector<u64>& bits) {
@@ -45,25 +28,6 @@ void extra_bits_cell(std::ostream& out, const std::vector<u64>& bits) {
     if (i > 0) out << ';';
     out << bits[i];
   }
-}
-
-std::vector<u64> parse_extra_bits_cell(const std::string& cell) {
-  std::vector<u64> bits;
-  std::string value;
-  std::istringstream in(cell);
-  while (std::getline(in, value, ';')) bits.push_back(std::stoull(value));
-  return bits;
-}
-
-bool parse_flag_cell(const std::string& cell, std::size_t row) {
-  if (cell == "0") return false;
-  if (cell == "1") return true;
-  throw std::runtime_error("bad flag cell in trial CSV row " + std::to_string(row));
-}
-
-[[noreturn]] void bad_row(const char* what, std::size_t row) {
-  throw std::runtime_error(std::string(what) + " in trial CSV row " +
-                           std::to_string(row));
 }
 
 }  // namespace
@@ -115,114 +79,6 @@ void write_vm_trials_csv(std::ostream& out,
   }
 }
 
-void write_category_series_csv(std::ostream& out,
-                               const std::vector<UarchTrialRecord>& trials,
-                               DetectorModel detector, ProtectionModel protection) {
-  const auto categories = {UarchOutcome::kMasked,   UarchOutcome::kOther,
-                           UarchOutcome::kLatent,   UarchOutcome::kSdc,
-                           UarchOutcome::kCfv,      UarchOutcome::kException,
-                           UarchOutcome::kDeadlock};
-  out << "interval";
-  for (const auto category : categories) out << ',' << to_string(category);
-  out << '\n';
-  for (const u64 interval : checkpoint_interval_sweep()) {
-    const auto shares = category_shares(trials, detector, protection, interval);
-    out << interval;
-    for (const auto category : categories) {
-      const auto it = shares.find(category);
-      out << ',' << (it == shares.end() ? 0.0 : it->second);
-    }
-    out << '\n';
-  }
-}
-
-std::vector<UarchTrialRecord> read_uarch_trials_csv(std::istream& in) {
-  std::vector<UarchTrialRecord> trials;
-  std::string line;
-  std::size_t row = 0;
-  bool header_skipped = false;
-  while (std::getline(in, line)) {
-    ++row;
-    if (line.empty()) continue;
-    if (!header_skipped) {
-      header_skipped = true;
-      continue;
-    }
-    const auto cells = split_row(line);
-    // 18 columns since the extra_bits/upset columns were added; 16-column
-    // files predate them (implicitly single-bit, upset), 15-column files also
-    // predate the model column. All three widths keep reading.
-    if (cells.size() != 15 && cells.size() != 16 && cells.size() != 18) {
-      bad_row("wrong column count", row);
-    }
-    const std::size_t off = cells.size() >= 16 ? 1 : 0;
-    UarchTrialRecord t;
-    t.workload = cells[0];
-    if (off != 0) t.model = cells[1] == "single" ? "" : cells[1];
-    t.field_name = cells[1 + off];
-    const auto storage = storage_from_string(cells[2 + off]);
-    const auto protection = protection_from_string(cells[3 + off]);
-    if (!storage || !protection) bad_row("bad storage/protection", row);
-    t.storage = *storage;
-    t.protection = *protection;
-    t.lat_exception = parse_latency_cell(cells[4 + off]);
-    t.lat_cfv = parse_latency_cell(cells[5 + off]);
-    t.lat_hiconf = parse_latency_cell(cells[6 + off]);
-    t.lat_deadlock = parse_latency_cell(cells[7 + off]);
-    t.lat_illegal_flow = parse_latency_cell(cells[8 + off]);
-    t.lat_cache_burst = parse_latency_cell(cells[9 + off]);
-    t.trace_diverged = parse_flag_cell(cells[10 + off], row);
-    t.arch_corrupt_at_end = parse_flag_cell(cells[11 + off], row);
-    t.uarch_state_equal = parse_flag_cell(cells[12 + off], row);
-    t.live_state_diff = parse_flag_cell(cells[13 + off], row);
-    t.end_status = static_cast<uarch::Core::Status>(std::stoi(cells[14 + off]));
-    if (cells.size() == 18) {
-      t.extra_bits = parse_extra_bits_cell(cells[16]);
-      t.upset = parse_flag_cell(cells[17], row);
-    }
-    trials.push_back(std::move(t));
-  }
-  return trials;
-}
-
-std::vector<VmTrialResult> read_vm_trials_csv(std::istream& in) {
-  std::vector<VmTrialResult> trials;
-  std::string line;
-  std::size_t row = 0;
-  bool header_skipped = false;
-  while (std::getline(in, line)) {
-    ++row;
-    if (line.empty()) continue;
-    if (!header_skipped) {
-      header_skipped = true;
-      continue;
-    }
-    const auto cells = split_row(line);
-    // 8 columns since the extra_bits/upset columns were added; 6-column files
-    // predate them (implicitly single-bit, upset), 5-column files also
-    // predate the model column. All three widths keep reading.
-    if (cells.size() != 5 && cells.size() != 6 && cells.size() != 8) {
-      bad_row("wrong column count", row);
-    }
-    const std::size_t off = cells.size() >= 6 ? 1 : 0;
-    VmTrialResult t;
-    t.workload = cells[0];
-    if (off != 0) t.model = cells[1] == "single" ? "" : cells[1];
-    const auto outcome = vm_outcome_from_string(cells[1 + off]);
-    if (!outcome) bad_row("bad outcome", row);
-    t.outcome = *outcome;
-    t.latency = parse_latency_cell(cells[2 + off]);
-    t.inject_index = std::stoull(cells[3 + off]);
-    t.bit = static_cast<u32>(std::stoul(cells[4 + off]));
-    if (cells.size() == 8) {
-      t.extra_bits = parse_extra_bits_cell(cells[6]);
-      t.upset = parse_flag_cell(cells[7], row);
-    }
-    trials.push_back(std::move(t));
-  }
-  return trials;
-}
-
 namespace {
 
 // (model, outcome) -> count, flattened into sorted rows. std::map keys are
@@ -261,33 +117,6 @@ std::vector<ModelBreakdownRow> model_breakdown(
   return flatten_breakdown(counts);
 }
 
-void write_model_breakdown_csv(std::ostream& out,
-                               const std::vector<ModelBreakdownRow>& rows) {
-  out << "model,outcome,count\n";
-  for (const auto& row : rows) {
-    out << row.model << ',' << row.outcome << ',' << row.count << '\n';
-  }
-}
-
-std::vector<ModelBreakdownRow> read_model_breakdown_csv(std::istream& in) {
-  std::vector<ModelBreakdownRow> rows;
-  std::string line;
-  std::size_t row_no = 0;
-  bool header_skipped = false;
-  while (std::getline(in, line)) {
-    ++row_no;
-    if (line.empty()) continue;
-    if (!header_skipped) {
-      header_skipped = true;
-      continue;
-    }
-    const auto cells = split_row(line);
-    if (cells.size() != 3) bad_row("wrong column count", row_no);
-    rows.push_back({cells[0], cells[1], std::stoull(cells[2])});
-  }
-  return rows;
-}
-
 void write_shard_stats_csv(std::ostream& out, const std::vector<ShardStats>& shards) {
   out << "shard,workload,trials,wall_ms,trials_per_sec,resumed\n";
   for (const auto& shard : shards) {
@@ -300,18 +129,6 @@ void write_shard_stats_csv(std::ostream& out, const std::vector<ShardStats>& sha
     out << shard.shard << ',' << shard.workload << ',' << shard.trials << ','
         << wall << ',' << per_sec << ',' << (shard.resumed ? 1 : 0) << '\n';
   }
-}
-
-void write_uarch_trials_csv(const std::string& path,
-                            const std::vector<UarchTrialRecord>& trials) {
-  auto out = open_or_throw(path);
-  write_uarch_trials_csv(out, trials);
-}
-
-void write_vm_trials_csv(const std::string& path,
-                         const std::vector<VmTrialResult>& trials) {
-  auto out = open_or_throw(path);
-  write_vm_trials_csv(out, trials);
 }
 
 void write_shard_stats_csv(const std::string& path,

@@ -1,7 +1,8 @@
-// Campaign result export: CSV writers so campaign data can be re-analysed or
-// plotted outside the bench binaries (gnuplot/pandas/etc), the matching
-// readers (round-trip exact for every integer/flag column), and the
-// per-shard wall-time stats surfaced by the campaign orchestrator.
+// Campaign result export: per-trial CSV writers so campaign data can be
+// plotted outside the repository (gnuplot/pandas/etc), the per-fault-model
+// outcome breakdown, and the per-shard wall-time stats surfaced by the
+// campaign orchestrator. JSONL (campaign_io.hpp) is the only per-trial
+// interchange format; CSV is a rendering of it (`restore-analyze export`).
 #pragma once
 
 #include <iosfwd>
@@ -24,19 +25,6 @@ void write_uarch_trials_csv(std::ostream& out,
 // One row per trial: workload, outcome, latency, injection site, fault-model
 // extras (extra_bits semicolon-separated, upset flag).
 void write_vm_trials_csv(std::ostream& out, const std::vector<VmTrialResult>& trials);
-
-// Aggregated Figure 4/5/6 series: one row per checkpoint interval with the
-// category shares for the given detector/protection model.
-void write_category_series_csv(std::ostream& out,
-                               const std::vector<UarchTrialRecord>& trials,
-                               DetectorModel detector, ProtectionModel protection);
-
-// Readers for the per-trial CSVs above. Every column except the header is an
-// integer, flag or identifier, so parsing a written file reconstructs the
-// trial list exactly (empty latency cells read back as kNever). Throws
-// std::runtime_error on a malformed row.
-std::vector<UarchTrialRecord> read_uarch_trials_csv(std::istream& in);
-std::vector<VmTrialResult> read_vm_trials_csv(std::istream& in);
 
 // Observability: one row per shard with its workload, trial count, wall time
 // and throughput, plus whether the shard was resumed from a trace rather
@@ -61,16 +49,7 @@ std::vector<ModelBreakdownRow> model_breakdown(const std::vector<UarchTrialRecor
                                                ProtectionModel protection,
                                                u64 interval);
 
-// CSV round trip for the breakdown (model,outcome,count).
-void write_model_breakdown_csv(std::ostream& out,
-                               const std::vector<ModelBreakdownRow>& rows);
-std::vector<ModelBreakdownRow> read_model_breakdown_csv(std::istream& in);
-
 // Convenience: write to a file path (throws std::runtime_error on I/O error).
-void write_uarch_trials_csv(const std::string& path,
-                            const std::vector<UarchTrialRecord>& trials);
-void write_vm_trials_csv(const std::string& path,
-                         const std::vector<VmTrialResult>& trials);
 void write_shard_stats_csv(const std::string& path,
                            const std::vector<ShardStats>& shards);
 

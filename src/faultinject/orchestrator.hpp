@@ -444,7 +444,7 @@ std::vector<Record> run_sharded_campaign(const std::vector<ShardSpec>& shards,
     sink.emit(event);
   };
   // Record a quarantine in telemetry and (when streaming) the manifest, so
-  // tools/campaign_status can report it. The shard is *not* completed, so a
+  // `restore-analyze status` can report it. The shard is *not* completed, so a
   // plain --resume re-attempts it; the resume-time manifest rewrite above
   // drops the stale quarantine record.
   const auto quarantine_locked = [&](const ShardSpec& shard, u64 attempts,

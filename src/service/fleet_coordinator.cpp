@@ -208,18 +208,16 @@ int connect_tcp_timeout(const std::string& address, u64 timeout_ms,
     if (error != nullptr) *error = what;
     return -1;
   };
-  const auto colon = address.rfind(':');
-  if (colon == std::string::npos) {
-    return fail("expected HOST:PORT, got '" + address + "'");
+  const auto endpoint = parse_host_port(address, /*allow_ephemeral=*/false);
+  if (!endpoint) {
+    return fail(address.find(':') == std::string::npos
+                    ? "expected HOST:PORT, got '" + address + "'"
+                    : "bad port in '" + address + "'");
   }
-  const std::string host = address.substr(0, colon);
-  const int port = std::atoi(address.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    return fail("bad port in '" + address + "'");
-  }
+  const std::string& host = endpoint->host;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<u16>(port));
+  addr.sin_port = htons(endpoint->port);
   const std::string ip = host.empty() || host == "localhost" ? "127.0.0.1" : host;
   if (::inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
     return fail("bad host in '" + address + "'");

@@ -23,20 +23,6 @@ namespace {
 // Receive-poll granularity: how often a blocked read re-checks the stop flag.
 constexpr int kPollMs = 200;
 
-std::pair<std::string, u16> parse_host_port(const std::string& address,
-                                            const char* who) {
-  const auto colon = address.rfind(':');
-  const std::string host =
-      colon == std::string::npos ? "" : address.substr(0, colon);
-  const std::string port_text =
-      colon == std::string::npos ? address : address.substr(colon + 1);
-  const int port = std::atoi(port_text.c_str());
-  if (port < 0 || port > 65535 || port_text.empty()) {
-    throw std::runtime_error(std::string(who) + ": bad port in '" + address + "'");
-  }
-  return {host, static_cast<u16>(port)};
-}
-
 // The cache directory for one campaign identity: the trace filename stem
 // (config_hash x shard geometry), so distinct campaigns can never collide.
 std::string cache_key(const JobSpec& spec) {
@@ -66,12 +52,16 @@ FleetWorker::~FleetWorker() {
 }
 
 void FleetWorker::start() {
-  auto [host, port] = parse_host_port(opts_.listen, "fleet-worker");
+  const auto endpoint = parse_host_port(opts_.listen, /*allow_ephemeral=*/true);
+  if (!endpoint) {
+    throw std::runtime_error("fleet-worker: bad port in '" + opts_.listen + "'");
+  }
+  const std::string& host = endpoint->host;
   host_ = host.empty() ? "0.0.0.0" : host;
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
+  addr.sin_port = htons(endpoint->port);
   if (host.empty() || host == "0.0.0.0") {
     addr.sin_addr.s_addr = htonl(INADDR_ANY);
   } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {

@@ -95,6 +95,23 @@ bool send_all(int fd, std::string_view bytes) noexcept {
   return true;
 }
 
+// ---- addresses ----
+
+std::optional<HostPort> parse_host_port(std::string_view address,
+                                        bool allow_ephemeral) {
+  const auto colon = address.rfind(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  const std::string_view digits = address.substr(colon + 1);
+  if (digits.empty() || digits.size() > 5) return std::nullopt;
+  u32 port = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    port = port * 10 + static_cast<u32>(c - '0');
+  }
+  if (port > 65535 || (port == 0 && !allow_ephemeral)) return std::nullopt;
+  return HostPort{std::string(address.substr(0, colon)), static_cast<u16>(port)};
+}
+
 // ---- message type tags ----
 
 namespace {

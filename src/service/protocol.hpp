@@ -106,6 +106,20 @@ class FrameReader {
 // send error.
 bool send_all(int fd, std::string_view bytes) noexcept;
 
+// ---- addresses ----
+
+// A TCP endpoint given as "HOST:PORT". HOST may be empty (each caller picks
+// its default). PORT is one to five decimal digits with a value of at most
+// 65535: no sign, spaces or trailing text. Port 0 asks the kernel for an
+// ephemeral port, so it is accepted only for a listener that reports the
+// port it bound (`allow_ephemeral`); nullopt on anything else.
+struct HostPort {
+  std::string host;
+  u16 port = 0;
+};
+std::optional<HostPort> parse_host_port(std::string_view address,
+                                        bool allow_ephemeral);
+
 // ---- messages ----
 
 enum class MessageType : u8 {

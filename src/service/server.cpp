@@ -92,18 +92,18 @@ CampaignServer::~CampaignServer() {
 
 void CampaignServer::start() {
   if (opts_.socket_path.empty()) {
-    throw std::runtime_error("restored: socket_path is required");
+    throw std::runtime_error("socket_path is required");
   }
   std::error_code ec;
   std::filesystem::create_directories(opts_.spool_dir, ec);
   if (ec) {
-    throw std::runtime_error("restored: cannot create spool dir '" +
+    throw std::runtime_error("cannot create spool dir '" +
                              opts_.spool_dir + "': " + ec.message());
   }
 
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error("restored: pipe() failed");
+    throw std::runtime_error("pipe() failed");
   }
   notify_read_ = pipe_fds[0];
   notify_write_ = pipe_fds[1];
@@ -114,12 +114,12 @@ void CampaignServer::start() {
   // bind fail, so remove it first (the daemon owns its socket path).
   unix_listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (unix_listener_ < 0) {
-    throw std::runtime_error("restored: socket(AF_UNIX) failed");
+    throw std::runtime_error("socket(AF_UNIX) failed");
   }
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (opts_.socket_path.size() >= sizeof addr.sun_path) {
-    throw std::runtime_error("restored: socket path too long: " +
+    throw std::runtime_error("socket path too long: " +
                              opts_.socket_path);
   }
   std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
@@ -128,41 +128,37 @@ void CampaignServer::start() {
   if (::bind(unix_listener_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0 ||
       ::listen(unix_listener_, 16) != 0) {
-    throw std::runtime_error("restored: cannot bind unix socket '" +
+    throw std::runtime_error("cannot bind unix socket '" +
                              opts_.socket_path + "': " + std::strerror(errno));
   }
   set_nonblocking_cloexec(unix_listener_);
 
   if (!opts_.listen.empty()) {
-    const auto colon = opts_.listen.rfind(':');
-    const std::string host =
-        colon == std::string::npos ? "" : opts_.listen.substr(0, colon);
-    const std::string port_text =
-        colon == std::string::npos ? opts_.listen : opts_.listen.substr(colon + 1);
-    const int port = std::atoi(port_text.c_str());
-    if (port <= 0 || port > 65535) {
-      throw std::runtime_error("restored: bad --listen port in '" +
-                               opts_.listen + "'");
+    // The daemon never reports the port it bound, so no ephemeral port 0.
+    const auto endpoint = parse_host_port(opts_.listen, /*allow_ephemeral=*/false);
+    if (!endpoint) {
+      throw std::runtime_error("bad --listen port in '" + opts_.listen + "'");
     }
+    const std::string& host = endpoint->host;
     sockaddr_in inaddr{};
     inaddr.sin_family = AF_INET;
-    inaddr.sin_port = htons(static_cast<u16>(port));
+    inaddr.sin_port = htons(endpoint->port);
     if (host.empty() || host == "0.0.0.0") {
       inaddr.sin_addr.s_addr = htonl(INADDR_ANY);
     } else if (::inet_pton(AF_INET, host.c_str(), &inaddr.sin_addr) != 1) {
-      throw std::runtime_error("restored: bad --listen host in '" +
+      throw std::runtime_error("bad --listen host in '" +
                                opts_.listen + "'");
     }
     tcp_listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (tcp_listener_ < 0) {
-      throw std::runtime_error("restored: socket(AF_INET) failed");
+      throw std::runtime_error("socket(AF_INET) failed");
     }
     const int one = 1;
     ::setsockopt(tcp_listener_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     if (::bind(tcp_listener_, reinterpret_cast<const sockaddr*>(&inaddr),
                sizeof inaddr) != 0 ||
         ::listen(tcp_listener_, 16) != 0) {
-      throw std::runtime_error("restored: cannot bind tcp listener '" +
+      throw std::runtime_error("cannot bind tcp listener '" +
                                opts_.listen + "': " + std::strerror(errno));
     }
     set_nonblocking_cloexec(tcp_listener_);

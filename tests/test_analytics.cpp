@@ -15,6 +15,11 @@
 //      for fuzzed synthetic traces probing field-encoding corners.
 //   4. Thread identity — compaction and analysis produce identical bytes at
 //      1 and 8 threads (the `tsan` label runs this under ThreadSanitizer).
+//   5. CSV export — the per-trial CSV rendered from a compacted store equals
+//      the CSV of the campaign's in-memory trial list, byte for byte.
+//   6. Status — the status report's exit code over hand-written manifests
+//      and traces (healthy, quarantined, corrupt), identical in its text and
+//      JSON renderings.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -266,6 +271,170 @@ TEST(Analytics, ReaderRejectsTruncatedAndBitFlippedStores) {
   const std::string flipped_path = temp_path("corrupt_flip.cols");
   std::ofstream(flipped_path, std::ios::binary) << flipped;
   EXPECT_THROW(ColumnStoreReader{flipped_path}, std::runtime_error);
+}
+
+TEST(Analytics, StoreCsvExportMatchesInMemoryTrials) {
+  const std::string vm_trace = temp_path("export_vm.jsonl");
+  VmCampaignConfig vm_config;
+  vm_config.seed = 11;
+  vm_config.trials_per_workload = 8;
+  CampaignRunOptions vm_opts;
+  vm_opts.workers = 2;
+  vm_opts.shard_trials = 4;
+  vm_opts.out_jsonl = vm_trace;
+  const auto vm = run_vm_campaign(vm_config, vm_opts);
+  compact_trace(vm_trace, store_path_for(vm_trace));
+  std::ostringstream vm_expected, vm_exported;
+  faultinject::write_vm_trials_csv(vm_expected, vm.trials);
+  write_trials_csv(vm_exported, ColumnStoreReader(store_path_for(vm_trace)));
+  EXPECT_EQ(vm_exported.str(), vm_expected.str());
+
+  const std::string uarch_trace = temp_path("export_uarch.jsonl");
+  faultinject::UarchCampaignConfig uarch_config;
+  uarch_config.seed = 5;
+  uarch_config.trials_per_workload = 8;
+  uarch_config.workloads = {"gzip", "mcf"};
+  uarch_config.monitor_cycles = 500;
+  uarch_config.catchup_cycles = 500;
+  CampaignRunOptions uarch_opts;
+  uarch_opts.workers = 2;
+  uarch_opts.shard_trials = 4;
+  uarch_opts.out_jsonl = uarch_trace;
+  const auto uarch = run_uarch_campaign(uarch_config, uarch_opts);
+  compact_trace(uarch_trace, store_path_for(uarch_trace));
+  std::ostringstream uarch_expected, uarch_exported;
+  faultinject::write_uarch_trials_csv(uarch_expected, uarch.trials);
+  write_trials_csv(uarch_exported, ColumnStoreReader(store_path_for(uarch_trace)));
+  EXPECT_EQ(uarch_exported.str(), uarch_expected.str());
+}
+
+// A two-shard vm campaign written by hand: header plus four trial lines and
+// a manifest recording both shards complete. `quarantine` moves shard 1 into
+// the quarantine record; `bench_node` records a quarantined fleet node;
+// `torn` appends half a trial line, as an interrupted writer would.
+struct HandTrace {
+  bool quarantine = false;
+  bool bench_node = false;
+  bool torn = false;
+};
+
+std::string write_hand_trace(const std::string& tag, const HandTrace& shape) {
+  const std::string path = temp_path("status_" + tag + ".jsonl");
+  std::ofstream trace(path, std::ios::binary);
+  trace << faultinject::trace_header_line("vm") << '\n';
+  const faultinject::VmOutcome outcomes[] = {
+      faultinject::VmOutcome::kMasked, faultinject::VmOutcome::kCfv,
+      faultinject::VmOutcome::kMasked, faultinject::VmOutcome::kException};
+  for (u64 i = 0; i < 4; ++i) {
+    VmTrialResult trial;
+    trial.workload = "gzip";
+    trial.outcome = outcomes[i];
+    trial.latency = trial.outcome == faultinject::VmOutcome::kMasked ? kNever : 5;
+    trial.inject_index = 100 + i;
+    trial.bit = static_cast<u32>(i);
+    trace << faultinject::vm_trial_to_jsonl(i / 2, i % 2, trial) << '\n';
+  }
+  if (shape.torn) trace << "{\"shard\":1,\"slot\":";
+  trace.close();
+
+  CampaignManifest manifest;
+  manifest.kind = "vm";
+  manifest.seed = 1;
+  manifest.config_hash = 0xC0FFEE;
+  manifest.shard_trials = 2;
+  manifest.total_shards = 2;
+  manifest.total_trials = 4;
+  manifest.completed = {0, 1};
+  manifest.completed_trials = {2, 2};
+  manifest.wall_ms = {3, 5};
+  if (shape.quarantine) {
+    manifest.completed = {0};
+    manifest.completed_trials = {2};
+    manifest.wall_ms = {3};
+    manifest.quarantined = {1};
+    manifest.quarantine_attempts = {3};
+    manifest.quarantine_workloads = {"gzip"};
+    manifest.quarantine_errors = {"injected failure"};
+  }
+  if (shape.bench_node) {
+    manifest.node_quarantined = {"127.0.0.1:9"};
+    manifest.node_faults = {2};
+    manifest.node_errors = {"connection refused"};
+  }
+  faultinject::write_manifest(faultinject::manifest_path_for(path), manifest);
+  return path;
+}
+
+// Checks the report's exit code and that both renderings carry it.
+void expect_status_exit(const std::vector<std::string>& traces, int want) {
+  const StatusReport report = status_report(traces, 100);
+  EXPECT_EQ(report.worst_exit, want);
+  const std::string code = std::to_string(want);
+  EXPECT_NE(status_json(report).find("\"worst_exit\":" + code + "}"),
+            std::string::npos);
+  EXPECT_NE(status_text(report).find("worst exit " + code + "\n"),
+            std::string::npos);
+}
+
+TEST(AnalyticsStatus, HealthyTraceExitsZero) {
+  const std::string trace = write_hand_trace("healthy", {});
+  expect_status_exit({trace}, kStatusHealthy);
+
+  const StatusReport report = status_report({trace}, 100);
+  ASSERT_EQ(report.traces.size(), 1u);
+  EXPECT_EQ(report.traces[0].state(), "complete");
+  EXPECT_EQ(report.trials_done, 4u);
+  EXPECT_EQ(report.complete, 1u);
+  // The breakdown is model_breakdown over the trials on disk.
+  EXPECT_EQ(breakdown_json(report.breakdown),
+            "[{\"model\":\"single\",\"outcome\":\"cfv\",\"count\":1},"
+            "{\"model\":\"single\",\"outcome\":\"exception\",\"count\":1},"
+            "{\"model\":\"single\",\"outcome\":\"masked\",\"count\":2}]");
+  const std::string json = status_json(report);
+  EXPECT_EQ(json.rfind("{\"traces\":[", 0), 0u);
+  EXPECT_NE(json.find("\"totals\":{"), std::string::npos);
+}
+
+TEST(AnalyticsStatus, ShardQuarantineExitsThree) {
+  const std::string trace = write_hand_trace("quarantine", {.quarantine = true});
+  expect_status_exit({trace}, kStatusQuarantined);
+  const StatusReport report = status_report({trace}, 100);
+  EXPECT_EQ(report.traces[0].state(), "quarantined");
+  EXPECT_EQ(report.quarantined_shards, 1u);
+  EXPECT_NE(status_text(report).find("quarantined shard 1 (gzip)"),
+            std::string::npos);
+}
+
+TEST(AnalyticsStatus, NodeQuarantineExitsThree) {
+  const std::string trace = write_hand_trace("node", {.bench_node = true});
+  expect_status_exit({trace}, kStatusQuarantined);
+  const StatusReport report = status_report({trace}, 100);
+  EXPECT_EQ(report.traces[0].state(), "node-quarantine");
+  EXPECT_NE(status_text(report).find("127.0.0.1:9"), std::string::npos);
+  EXPECT_NE(status_json(report).find("\"node\":\"127.0.0.1:9\""),
+            std::string::npos);
+}
+
+TEST(AnalyticsStatus, CorruptTraceExitsOne) {
+  const std::string corrupt = write_hand_trace("corrupt", {.torn = true});
+  expect_status_exit({corrupt}, kStatusUnreadable);
+  // Alongside a healthy trace the unreadable one still sets the exit code.
+  expect_status_exit({write_hand_trace("healthy2", {}), corrupt},
+                     kStatusUnreadable);
+  // A missing manifest is unreadable too.
+  expect_status_exit({temp_path("status_missing.jsonl")}, kStatusUnreadable);
+}
+
+TEST(AnalyticsStatus, QuarantineOutranksCorruptTrace) {
+  const std::string quarantined =
+      write_hand_trace("q_and_c_q", {.quarantine = true});
+  const std::string corrupt = write_hand_trace("q_and_c_c", {.torn = true});
+  expect_status_exit({quarantined, corrupt}, kStatusQuarantined);
+  expect_status_exit({corrupt, quarantined}, kStatusQuarantined);
+  // One trace both quarantined and torn.
+  expect_status_exit(
+      {write_hand_trace("q_and_c", {.quarantine = true, .torn = true})},
+      kStatusQuarantined);
 }
 
 }  // namespace

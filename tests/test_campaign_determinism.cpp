@@ -1,6 +1,6 @@
-// Golden-determinism regression: a fixed-seed campaign must export
+// Golden-determinism regression: a fixed-seed campaign must produce
 // byte-identical results at any worker count — both the assembled in-memory
-// trial list and the streamed JSONL trace. This is the property the resume
+// trial list (rendered as JSONL lines) and the streamed JSONL trace. This is the property the resume
 // machinery rests on, so it is pinned here for the VM (Figure 2 style) and
 // uarch (Figure 4 style) campaigns.
 #include <gtest/gtest.h>
@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "faultinject/campaign_io.hpp"
-#include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
 #include "faultinject/uarch_campaign.hpp"
 #include "faultinject/vm_campaign.hpp"
+#include "trial_lines.hpp"
 
 #ifndef RESTORE_GOLDEN_UARCH_DIGEST
 #error "RESTORE_GOLDEN_UARCH_DIGEST must point at tests/golden/uarch_trace_digest.txt"
@@ -51,9 +51,7 @@ TEST(CampaignDeterminism, VmCampaignIsByteIdenticalAcrossWorkerCounts) {
     opts.out_jsonl = temp_trace("vm_w" + std::to_string(workers));
     const auto result = run_vm_campaign(config, opts);
     ASSERT_EQ(result.trials.size(), 60u);
-    std::ostringstream csv;
-    write_vm_trials_csv(csv, result.trials);
-    exports.push_back(csv.str());
+    exports.push_back(trial_lines(result.trials));
     traces.push_back(slurp(opts.out_jsonl));
   }
   for (std::size_t i = 1; i < exports.size(); ++i) {
@@ -77,9 +75,7 @@ TEST(CampaignDeterminism, UarchCampaignIsByteIdenticalAcrossWorkerCounts) {
     opts.out_jsonl = temp_trace("uarch_w" + std::to_string(workers));
     const auto result = run_uarch_campaign(config, opts);
     EXPECT_FALSE(result.trials.empty());
-    std::ostringstream csv;
-    write_uarch_trials_csv(csv, result.trials);
-    exports.push_back(csv.str());
+    exports.push_back(trial_lines(result.trials));
     traces.push_back(slurp(opts.out_jsonl));
   }
   EXPECT_EQ(exports[0], exports[1]);

@@ -11,13 +11,13 @@
 #include <thread>
 
 #include "faultinject/campaign_io.hpp"
-#include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
 #include "faultinject/uarch_campaign.hpp"
 #include "faultinject/vm_campaign.hpp"
 #include "service/fleet_coordinator.hpp"
 #include "service/fleet_worker.hpp"
 #include "service/job_queue.hpp"
+#include "trial_lines.hpp"
 
 namespace restore::faultinject {
 namespace {
@@ -91,10 +91,7 @@ TEST(CampaignReplay, InterruptedVmCampaignResumesByteIdentical) {
   EXPECT_EQ(resumed.resumed_trials, partial.trials.size());
 
   // Aggregates and trace are byte-identical to the uninterrupted run.
-  std::ostringstream full_csv, resumed_csv;
-  write_vm_trials_csv(full_csv, full.trials);
-  write_vm_trials_csv(resumed_csv, finished.trials);
-  EXPECT_EQ(full_csv.str(), resumed_csv.str());
+  EXPECT_EQ(trial_lines(full.trials), trial_lines(finished.trials));
   EXPECT_EQ(slurp(full_trace), slurp(trace));
 }
 
@@ -112,10 +109,7 @@ TEST(CampaignReplay, ResumeOfCompleteCampaignRerunsNothing) {
   for (const auto& shard : telemetry.shards) {
     EXPECT_TRUE(shard.resumed) << shard.shard;
   }
-  std::ostringstream a, b;
-  write_vm_trials_csv(a, first.trials);
-  write_vm_trials_csv(b, second.trials);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(trial_lines(first.trials), trial_lines(second.trials));
 }
 
 TEST(CampaignReplay, ResumeRejectsManifestFromDifferentCampaign) {
@@ -169,10 +163,7 @@ TEST(CampaignReplay, InterruptedUarchCampaignResumesByteIdentical) {
   EXPECT_TRUE(resumed.complete);
   EXPECT_GT(resumed.resumed_trials, 0u);
 
-  std::ostringstream a, b;
-  write_uarch_trials_csv(a, full.trials);
-  write_uarch_trials_csv(b, finished.trials);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(trial_lines(full.trials), trial_lines(finished.trials));
   EXPECT_EQ(slurp(full_trace), slurp(trace));
 }
 

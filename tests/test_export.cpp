@@ -1,5 +1,6 @@
-// Tests for the CSV exporters, the matching readers and the JSONL campaign
-// trace format: both round trips must be exact.
+// Tests for the JSONL campaign trace format (its round trip must be exact,
+// since it is the only per-trial interchange format), the CSV renderings of
+// trial lists, and the per-model outcome breakdown.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -46,60 +47,8 @@ TEST(Export, VmCsvRoundsTrip) {
   EXPECT_NE(out.str().find("mcf,single,cfv,7,123,9"), std::string::npos);
 }
 
-TEST(Export, ReadersAcceptPreModelColumnLegacyCsv) {
-  // Files exported before the fault-model expansion carry no model column;
-  // both readers must keep parsing them (as default-model trials).
-  std::istringstream legacy_vm(
-      "workload,outcome,latency,inject_index,bit\n"
-      "mcf,cfv,7,123,9\n");
-  const auto vm = read_vm_trials_csv(legacy_vm);
-  ASSERT_EQ(vm.size(), 1u);
-  EXPECT_EQ(vm[0].workload, "mcf");
-  EXPECT_EQ(vm[0].outcome, VmOutcome::kCfv);
-  EXPECT_EQ(vm[0].bit, 9u);
-  EXPECT_TRUE(vm[0].model.empty());
-
-  std::istringstream legacy_uarch(
-      "workload,field,storage,protection,lat_exception,lat_cfv,lat_hiconf,"
-      "lat_deadlock,lat_illegal_flow,lat_cache_burst,trace_diverged,"
-      "arch_corrupt,uarch_state_equal,live_state_diff,end_status\n"
-      "gzip,rob.pc,sram,ecc,42,,,,,,1,1,0,0,0\n");
-  const auto uarch = read_uarch_trials_csv(legacy_uarch);
-  ASSERT_EQ(uarch.size(), 1u);
-  EXPECT_EQ(uarch[0].workload, "gzip");
-  EXPECT_EQ(uarch[0].field_name, "rob.pc");
-  EXPECT_EQ(uarch[0].lat_exception, 42u);
-  EXPECT_TRUE(uarch[0].model.empty());
-}
-
-TEST(Export, CategorySeriesSharesSumToOnePerRow) {
-  std::vector<UarchTrialRecord> trials;
-  for (int i = 0; i < 20; ++i) {
-    UarchTrialRecord t = sample_trial();
-    t.lat_exception = i * 30;
-    trials.push_back(t);
-  }
-  std::ostringstream out;
-  write_category_series_csv(out, trials, DetectorModel::kJrsConfidence,
-                            ProtectionModel::kBaseline);
-  std::string line;
-  std::istringstream in(out.str());
-  std::getline(in, line);  // header
-  int rows = 0;
-  while (std::getline(in, line)) {
-    std::istringstream cells(line);
-    std::string cell;
-    std::getline(cells, cell, ',');  // interval
-    double total = 0;
-    while (std::getline(cells, cell, ',')) total += std::stod(cell);
-    EXPECT_NEAR(total, 1.0, 1e-9) << line;
-    ++rows;
-  }
-  EXPECT_EQ(rows, 7);  // the checkpoint-interval sweep
-}
-
 TEST(Export, FileWriterRejectsBadPath) {
-  EXPECT_THROW(write_vm_trials_csv("/nonexistent-dir/x.csv", {}), std::runtime_error);
+  EXPECT_THROW(write_shard_stats_csv("/nonexistent-dir/x.csv", {}), std::runtime_error);
 }
 
 // A uarch record exercising every serialized field, including kNever
@@ -126,14 +75,11 @@ UarchTrialRecord full_trial() {
   return t;
 }
 
-void expect_same_uarch(const UarchTrialRecord& a, const UarchTrialRecord& b,
-                       bool compare_bit) {
+void expect_same_uarch(const UarchTrialRecord& a, const UarchTrialRecord& b) {
   EXPECT_EQ(a.workload, b.workload);
-  if (compare_bit) {
-    EXPECT_EQ(a.bit.field, b.bit.field);
-    EXPECT_EQ(a.bit.entry, b.bit.entry);
-    EXPECT_EQ(a.bit.bit, b.bit.bit);
-  }
+  EXPECT_EQ(a.bit.field, b.bit.field);
+  EXPECT_EQ(a.bit.entry, b.bit.entry);
+  EXPECT_EQ(a.bit.bit, b.bit.bit);
   EXPECT_EQ(a.storage, b.storage);
   EXPECT_EQ(a.protection, b.protection);
   EXPECT_EQ(a.field_name, b.field_name);
@@ -160,7 +106,7 @@ TEST(Export, UarchJsonlRoundTripIsExact) {
   const auto& [shard, slot, back] = *parsed;
   EXPECT_EQ(shard, 5u);
   EXPECT_EQ(slot, 11u);
-  expect_same_uarch(trial, back, /*compare_bit=*/true);
+  expect_same_uarch(trial, back);
 }
 
 TEST(Export, VmJsonlRoundTripIsExact) {
@@ -202,11 +148,19 @@ TEST(Export, VmCsvParsesBackExactly) {
     t.bit = u32(i);
     trials.push_back(t);
   }
-  std::ostringstream out;
-  write_vm_trials_csv(out, trials);
-  std::istringstream in(out.str());
-  const auto back = read_vm_trials_csv(in);
-  ASSERT_EQ(back.size(), trials.size());
+  // Trials read back from their JSONL lines render to the same CSV bytes,
+  // field by field.
+  std::vector<VmTrialResult> back;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto parsed = vm_trial_from_jsonl(vm_trial_to_jsonl(0, i, trials[i]));
+    ASSERT_TRUE(parsed.has_value()) << i;
+    back.push_back(std::get<2>(*parsed));
+  }
+  std::ostringstream want, got;
+  write_vm_trials_csv(want, trials);
+  write_vm_trials_csv(got, back);
+  EXPECT_EQ(got.str(), want.str());
+  EXPECT_NE(want.str().find("gzip,single,masked,,0,0,,1\n"), std::string::npos);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     EXPECT_EQ(back[i].workload, trials[i].workload) << i;
     EXPECT_EQ(back[i].outcome, trials[i].outcome) << i;
@@ -259,17 +213,22 @@ TEST(Export, UarchCsvParsesBackWithIdenticalClassification) {
     trials.push_back(t);
   }
 
-  std::ostringstream out;
-  write_uarch_trials_csv(out, trials);
-  std::istringstream in(out.str());
-  const auto back = read_uarch_trials_csv(in);
-  ASSERT_EQ(back.size(), trials.size());
+  // Every classification input survives the trip through the JSONL lines,
+  // and the trials read back render to the same CSV bytes.
+  std::vector<UarchTrialRecord> back;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto parsed = uarch_trial_from_jsonl(uarch_trial_to_jsonl(0, i, trials[i]));
+    ASSERT_TRUE(parsed.has_value()) << i;
+    back.push_back(std::get<2>(*parsed));
+  }
+  std::ostringstream want_csv, got_csv;
+  write_uarch_trials_csv(want_csv, trials);
+  write_uarch_trials_csv(got_csv, back);
+  EXPECT_EQ(got_csv.str(), want_csv.str());
 
   std::map<UarchOutcome, int> want, got;
   for (std::size_t i = 0; i < trials.size(); ++i) {
-    // The CSV does not carry the raw BitRef, but every classification input
-    // must survive the round trip.
-    expect_same_uarch(trials[i], back[i], /*compare_bit=*/false);
+    expect_same_uarch(trials[i], back[i]);
     for (const u64 interval : {10u, 100u, 1000u}) {
       const auto a = classify_trial(trials[i], DetectorModel::kJrsConfidence,
                                     ProtectionModel::kBaseline, interval);
@@ -294,7 +253,7 @@ TEST(Export, FaultModelFieldsRoundTripThroughJsonl) {
   const auto uarch_parsed = uarch_trial_from_jsonl(uarch_trial_to_jsonl(0, 0, uarch));
   ASSERT_TRUE(uarch_parsed.has_value());
   const auto& uarch_back = std::get<2>(*uarch_parsed);
-  expect_same_uarch(uarch, uarch_back, /*compare_bit=*/true);
+  expect_same_uarch(uarch, uarch_back);
   EXPECT_EQ(uarch_back.model, "burst");
   EXPECT_EQ(uarch_back.extra_bits, uarch.extra_bits);
   EXPECT_TRUE(uarch_back.upset);
@@ -333,15 +292,20 @@ TEST(Export, FaultModelFieldsRoundTripThroughJsonl) {
 }
 
 TEST(Export, ModelColumnRoundTripsThroughCsv) {
+  // The model column names the fault model ("single" for the default), and
+  // the extra_bits/upset columns carry the rest of the fault-model fields.
   auto uarch = full_trial();
-  uarch.model = "set";
+  uarch.model = "burst";
+  uarch.extra_bits = {5, 9};
+  auto uarch_no_upset = full_trial();
+  uarch_no_upset.model = "rate";
+  uarch_no_upset.upset = false;
   std::ostringstream uarch_out;
-  write_uarch_trials_csv(uarch_out, {uarch, full_trial()});
-  std::istringstream uarch_in(uarch_out.str());
-  const auto uarch_back = read_uarch_trials_csv(uarch_in);
-  ASSERT_EQ(uarch_back.size(), 2u);
-  EXPECT_EQ(uarch_back[0].model, "set");
-  EXPECT_TRUE(uarch_back[1].model.empty());  // "single" maps back to default
+  write_uarch_trials_csv(uarch_out, {uarch, uarch_no_upset, full_trial()});
+  EXPECT_NE(uarch_out.str().find("\nvortex,burst,iq.op,latch,parity,"),
+            std::string::npos);
+  EXPECT_NE(uarch_out.str().find(",5;9,1\nvortex,rate,"), std::string::npos);
+  EXPECT_NE(uarch_out.str().find(",,0\nvortex,single,"), std::string::npos);
 
   VmTrialResult vm;
   vm.workload = "gzip";
@@ -349,102 +313,21 @@ TEST(Export, ModelColumnRoundTripsThroughCsv) {
   vm.latency = 3;
   vm.inject_index = 41;
   vm.bit = 2;
-  vm.model = "targeted";
-  std::ostringstream vm_out;
-  write_vm_trials_csv(vm_out, {vm, VmTrialResult{}});
-  std::istringstream vm_in(vm_out.str());
-  const auto vm_back = read_vm_trials_csv(vm_in);
-  ASSERT_EQ(vm_back.size(), 2u);
-  EXPECT_EQ(vm_back[0].model, "targeted");
-  EXPECT_TRUE(vm_back[1].model.empty());
-}
-
-TEST(Export, FaultModelFieldsSurviveJsonlCsvJsonlRoundTrip) {
-  // Regression: the CSV writers used to drop extra_bits/upset, so exporting a
-  // trace to CSV and re-importing it silently demoted multi-bit/burst/rate
-  // trials to plain single-bit ones. The chain JSONL -> CSV -> JSONL must now
-  // preserve every fault-model field.
-  VmTrialResult vm;
-  vm.workload = "mcf";
-  vm.outcome = VmOutcome::kMemData;
-  vm.latency = 5;
-  vm.inject_index = 77;
-  vm.bit = 12;
-  vm.model = "burst";
-  vm.extra_bits = {13, 14, 15};
+  vm.model = "multi";
+  vm.extra_bits = {3, 4};
   VmTrialResult vm_no_upset;
-  vm_no_upset.workload = "gzip";
+  vm_no_upset.workload = "mcf";
   vm_no_upset.outcome = VmOutcome::kMasked;
   vm_no_upset.latency = kNever;
   vm_no_upset.model = "rate";
   vm_no_upset.upset = false;
-  // Start from the JSONL rendering, as a spool trace would.
-  std::vector<VmTrialResult> vm_in;
-  for (const auto& t : {vm, vm_no_upset}) {
-    const auto parsed = vm_trial_from_jsonl(vm_trial_to_jsonl(0, 0, t));
-    ASSERT_TRUE(parsed.has_value());
-    vm_in.push_back(std::get<2>(*parsed));
-  }
-  std::ostringstream vm_csv;
-  write_vm_trials_csv(vm_csv, vm_in);
-  std::istringstream vm_csv_in(vm_csv.str());
-  const auto vm_back = read_vm_trials_csv(vm_csv_in);
-  ASSERT_EQ(vm_back.size(), 2u);
-  EXPECT_EQ(vm_back[0].model, "burst");
-  EXPECT_EQ(vm_back[0].extra_bits, vm.extra_bits);
-  EXPECT_TRUE(vm_back[0].upset);
-  EXPECT_EQ(vm_back[1].model, "rate");
-  EXPECT_TRUE(vm_back[1].extra_bits.empty());
-  EXPECT_FALSE(vm_back[1].upset);
-  // ...and back out to JSONL byte-identically.
-  for (std::size_t i = 0; i < vm_in.size(); ++i) {
-    EXPECT_EQ(vm_trial_to_jsonl(0, 0, vm_back[i]), vm_trial_to_jsonl(0, 0, vm_in[i]))
-        << i;
-  }
-
-  auto uarch = full_trial();
-  uarch.model = "burst";
-  uarch.extra_bits = {pack_bit_ref(uarch::BitRef{3, 18, 41}),
-                      pack_bit_ref(uarch::BitRef{3, 19, 41})};
-  auto uarch_no_upset = full_trial();
-  uarch_no_upset.model = "rate";
-  uarch_no_upset.upset = false;
-  std::ostringstream uarch_csv;
-  write_uarch_trials_csv(uarch_csv, {uarch, uarch_no_upset, full_trial()});
-  std::istringstream uarch_csv_in(uarch_csv.str());
-  const auto uarch_back = read_uarch_trials_csv(uarch_csv_in);
-  ASSERT_EQ(uarch_back.size(), 3u);
-  EXPECT_EQ(uarch_back[0].model, "burst");
-  EXPECT_EQ(uarch_back[0].extra_bits, uarch.extra_bits);
-  EXPECT_TRUE(uarch_back[0].upset);
-  EXPECT_EQ(uarch_back[1].model, "rate");
-  EXPECT_FALSE(uarch_back[1].upset);
-  EXPECT_TRUE(uarch_back[2].model.empty());
-  EXPECT_TRUE(uarch_back[2].upset);
-}
-
-TEST(Export, ReadersAcceptPreFaultModelColumnCsv) {
-  // 6-column vm / 16-column uarch files (model but no extra_bits/upset) keep
-  // reading as single-bit always-upset trials.
-  std::istringstream vm_csv(
-      "workload,model,outcome,latency,inject_index,bit\n"
-      "mcf,multi,cfv,7,123,9\n");
-  const auto vm = read_vm_trials_csv(vm_csv);
-  ASSERT_EQ(vm.size(), 1u);
-  EXPECT_EQ(vm[0].model, "multi");
-  EXPECT_TRUE(vm[0].extra_bits.empty());
-  EXPECT_TRUE(vm[0].upset);
-
-  std::istringstream uarch_csv(
-      "workload,model,field,storage,protection,lat_exception,lat_cfv,lat_hiconf,"
-      "lat_deadlock,lat_illegal_flow,lat_cache_burst,trace_diverged,"
-      "arch_corrupt,uarch_equal,live_diff,end_status\n"
-      "gzip,set,rob.pc,sram,ecc,42,,,,,,1,1,0,0,0\n");
-  const auto uarch = read_uarch_trials_csv(uarch_csv);
-  ASSERT_EQ(uarch.size(), 1u);
-  EXPECT_EQ(uarch[0].model, "set");
-  EXPECT_TRUE(uarch[0].extra_bits.empty());
-  EXPECT_TRUE(uarch[0].upset);
+  std::ostringstream vm_out;
+  write_vm_trials_csv(vm_out, {vm, vm_no_upset, VmTrialResult{}});
+  EXPECT_EQ(vm_out.str(),
+            "workload,model,outcome,latency,inject_index,bit,extra_bits,upset\n"
+            "gzip,multi,register,3,41,2,3;4,1\n"
+            "mcf,rate,masked,,0,0,,0\n"
+            ",single,masked,,0,0,,1\n");
 }
 
 TEST(Export, ModelBreakdownAggregatesPerModelAndRoundsTrip) {
@@ -478,11 +361,14 @@ TEST(Export, ModelBreakdownAggregatesPerModelAndRoundsTrip) {
   EXPECT_EQ(rows[3].outcome, "masked");
   EXPECT_EQ(rows[3].count, 5u);
 
-  std::ostringstream out;
-  write_model_breakdown_csv(out, rows);
-  EXPECT_NE(out.str().find("model,outcome,count"), std::string::npos);
-  std::istringstream in(out.str());
-  const auto back = read_model_breakdown_csv(in);
+  // The breakdown over trials read back from their JSONL lines is the same.
+  std::vector<VmTrialResult> parsed;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const auto line = vm_trial_from_jsonl(vm_trial_to_jsonl(0, i, trials[i]));
+    ASSERT_TRUE(line.has_value()) << i;
+    parsed.push_back(std::get<2>(*line));
+  }
+  const auto back = model_breakdown(parsed);
   ASSERT_EQ(back.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(back[i].model, rows[i].model) << i;

@@ -527,3 +527,35 @@ TEST(ServiceJobSpec, IdentityKeyCoversGeometry) {
   EXPECT_NE(service::spec_config_hash(a), service::spec_config_hash(b));
   EXPECT_NE(service::spec_trace_filename(a), service::spec_trace_filename(b));
 }
+
+TEST(ServiceAddress, ParsesHostAndPort) {
+  const auto endpoint = service::parse_host_port("127.0.0.1:7701", false);
+  ASSERT_TRUE(endpoint.has_value());
+  EXPECT_EQ(endpoint->host, "127.0.0.1");
+  EXPECT_EQ(endpoint->port, 7701);
+  const auto any_host = service::parse_host_port(":65535", false);
+  ASSERT_TRUE(any_host.has_value());
+  EXPECT_EQ(any_host->host, "");
+  EXPECT_EQ(any_host->port, 65535);
+}
+
+TEST(ServiceAddress, RejectsMalformedPorts) {
+  for (const bool listener : {true, false}) {
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:abc", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:7x", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:70000", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:-1", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1: 80", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1:0000080", listener));
+    EXPECT_FALSE(service::parse_host_port("127.0.0.1", listener));
+  }
+}
+
+TEST(ServiceAddress, PortZeroOnlyForAnEphemeralListener) {
+  const auto listener = service::parse_host_port("127.0.0.1:0", true);
+  ASSERT_TRUE(listener.has_value());
+  EXPECT_EQ(listener->port, 0);
+  EXPECT_FALSE(service::parse_host_port("127.0.0.1:0", false));
+  EXPECT_FALSE(service::parse_host_port(":0", false));
+}

@@ -1,6 +1,6 @@
 // Equivalence regression for the trial inner-loop fast path: the convergence
 // shortcut is a pure optimisation, so a fixed-seed campaign must produce
-// byte-identical exports and JSONL traces with the shortcut on and off, at
+// byte-identical trial lists and JSONL traces with the shortcut on and off, at
 // any worker count.
 #include <gtest/gtest.h>
 
@@ -8,9 +8,9 @@
 #include <sstream>
 #include <string>
 
-#include "faultinject/export.hpp"
 #include "faultinject/orchestrator.hpp"
 #include "faultinject/uarch_campaign.hpp"
+#include "trial_lines.hpp"
 
 namespace restore::faultinject {
 namespace {
@@ -35,7 +35,7 @@ class TrialSpeedTest : public testing::Test {
 };
 
 struct UarchRun {
-  std::string csv;
+  std::string trials;
   std::string trace;
 };
 
@@ -47,9 +47,7 @@ UarchRun run_uarch(const UarchCampaignConfig& config, std::size_t workers,
   opts.out_jsonl = temp_trace(tag);
   const auto result = run_uarch_campaign(config, opts);
   EXPECT_FALSE(result.trials.empty());
-  std::ostringstream csv;
-  write_uarch_trials_csv(csv, result.trials);
-  return {csv.str(), slurp(opts.out_jsonl)};
+  return {trial_lines(result.trials), slurp(opts.out_jsonl)};
 }
 
 TEST_F(TrialSpeedTest, UarchFastPathsAreByteIdenticalAcrossWorkerCounts) {
@@ -74,9 +72,9 @@ TEST_F(TrialSpeedTest, UarchFastPathsAreByteIdenticalAcrossWorkerCounts) {
     const UarchRun on = run_uarch(
         config, workers, "uarch_on_" + std::to_string(run));
     ++run;
-    EXPECT_EQ(reference.csv, off.csv) << "workers=" << workers;
+    EXPECT_EQ(reference.trials, off.trials) << "workers=" << workers;
     EXPECT_EQ(reference.trace, off.trace) << "workers=" << workers;
-    EXPECT_EQ(reference.csv, on.csv) << "workers=" << workers;
+    EXPECT_EQ(reference.trials, on.trials) << "workers=" << workers;
     EXPECT_EQ(reference.trace, on.trace) << "workers=" << workers;
   }
 }
@@ -98,7 +96,7 @@ TEST_F(TrialSpeedTest, BudgetedTrialsMatchWithFastPathsOn) {
   set_convergence_shortcut(true);
   const UarchRun fast = run_uarch(config, 2, "budget_on");
 
-  EXPECT_EQ(reference.csv, fast.csv);
+  EXPECT_EQ(reference.trials, fast.trials);
   EXPECT_EQ(reference.trace, fast.trace);
 }
 

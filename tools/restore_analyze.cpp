@@ -1,7 +1,11 @@
-// restore-analyze — compact campaign traces into the columnar trial store
-// and query it (src/analytics).
+// restore-analyze — report on campaign traces, compact them into the
+// columnar trial store and query it (src/analytics).
 //
 // Subcommands:
+//   status TRACE.jsonl [TRACE.jsonl ...] [--interval N] [--json]
+//       Progress, quarantines and per-model outcome counts of traces written
+//       with --out-jsonl (manifest at TRACE.jsonl.manifest.json). Reads the
+//       JSONL directly, so it works on partial and interrupted traces.
 //   compact TRACE.jsonl [--out PATH] [--threads N] [--no-root-cause]
 //       Compact a completed trace + manifest into a columnar store
 //       (default PATH: TRACE.jsonl.cols). Byte-deterministic: the same trace
@@ -12,15 +16,21 @@
 //       root-cause columns).
 //   report STORE.cols [--interval N] [--threads N] [--json]
 //       The full analysis report (every query, one document).
+//   export STORE.cols
+//       The per-trial CSV of the store on stdout, one row per trial in trace
+//       order.
 //
-// The `outcomes` query reproduces campaign_status's per-model outcome counts
-// over the source JSONL exactly — `campaign_status --json TRACE.jsonl` and
-// `restore-analyze query STORE.cols --query outcomes --json` emit the same
-// breakdown rows.
+// The `outcomes` query reproduces status's per-model outcome counts over the
+// source JSONL exactly: `status --json TRACE.jsonl` carries the same
+// "breakdown" rows as `query STORE.cols --query outcomes --json`.
 //
-// Exit status: 0 ok, 1 I/O or parse errors, 2 usage errors.
+// Exit status: 0 ok, 1 I/O or parse errors, 2 usage errors. status also
+// exits 3 when any manifest records quarantined shards or fleet nodes, and
+// returns the worst code over its traces (3 outranks 1).
 #include <cstdio>
+#include <iostream>
 #include <string>
+#include <vector>
 
 #include "analytics/column_store.hpp"
 #include "analytics/compact.hpp"
@@ -36,13 +46,29 @@ namespace {
 void print_usage() {
   std::fprintf(
       stderr,
-      "usage: restore-analyze compact TRACE.jsonl [--out PATH] [--threads N]\n"
+      "usage: restore-analyze status TRACE.jsonl [TRACE.jsonl ...] [--interval N]\n"
+      "                               [--json]\n"
+      "       restore-analyze compact TRACE.jsonl [--out PATH] [--threads N]\n"
       "                               [--no-root-cause]\n"
       "       restore-analyze query STORE.cols --query NAME [--interval N]\n"
       "                               [--threads N] [--json]\n"
       "       restore-analyze report STORE.cols [--interval N] [--threads N]\n"
       "                               [--json]\n"
+      "       restore-analyze export STORE.cols\n"
       "  queries: outcomes avf latency defeat by-pc by-opcode\n");
+}
+
+int run_status(const CliArgs& args) {
+  const std::vector<std::string> traces(args.positional().begin() + 1,
+                                        args.positional().end());
+  const auto report =
+      analytics::status_report(traces, args.value_u64("interval", 100));
+  if (args.has_flag("json")) {
+    std::printf("%s\n", analytics::status_json(report).c_str());
+  } else {
+    std::fputs(analytics::status_text(report).c_str(), stdout);
+  }
+  return report.worst_exit;
 }
 
 int run_compact(const CliArgs& args) {
@@ -171,6 +197,13 @@ int run_report(const CliArgs& args) {
   return 0;
 }
 
+int run_export(const CliArgs& args) {
+  const analytics::ColumnStoreReader store(args.positional()[1]);
+  analytics::write_trials_csv(std::cout, store);
+  std::cout.flush();
+  return std::cout ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,9 +214,11 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args.positional().front();
   try {
+    if (command == "status") return run_status(args);
     if (command == "compact") return run_compact(args);
     if (command == "query") return run_query(args);
     if (command == "report") return run_report(args);
+    if (command == "export") return run_export(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "restore-analyze: %s\n", e.what());
     return 1;

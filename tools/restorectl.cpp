@@ -86,18 +86,16 @@ int connect_unix(const std::string& path) {
 }
 
 int connect_tcp(const std::string& target) {
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    throw std::runtime_error("--connect expects HOST:PORT, got '" + target + "'");
+  const auto endpoint = service::parse_host_port(target, /*allow_ephemeral=*/false);
+  if (!endpoint) {
+    throw std::runtime_error(target.find(':') == std::string::npos
+                                 ? "--connect expects HOST:PORT, got '" + target + "'"
+                                 : "bad --connect port in '" + target + "'");
   }
-  const std::string host = target.substr(0, colon);
-  const int port = std::atoi(target.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    throw std::runtime_error("bad --connect port in '" + target + "'");
-  }
+  const std::string& host = endpoint->host;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<u16>(port));
+  addr.sin_port = htons(endpoint->port);
   const std::string ip = host.empty() || host == "localhost" ? "127.0.0.1" : host;
   if (::inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
     throw std::runtime_error("bad --connect host in '" + target + "'");
