@@ -105,6 +105,28 @@ struct ShardFailure {
   std::string error;      // the last attempt's what()
 };
 
+// Cycles a uarch campaign simulated, per phase, over the shards it ran (a
+// resumed shard adds nothing). Every count but golden_pass is a pure
+// function of the campaign config and shard geometry, identical at any
+// worker count; golden_pass depends on which passes the process already
+// held. Telemetry only: never in the trace or the manifest.
+struct UarchPhaseCounters {
+  u64 golden_pass = 0;   // clean runs this campaign computed (golden passes)
+  u64 advance = 0;       // golden core from a rung to each injection point
+  u64 continuation = 0;  // lazy golden continuations the trials read
+  u64 faulty = 0;        // faulty cores over their monitor windows
+  u64 catchup = 0;       // faulty cores catching up to golden's retire count
+
+  UarchPhaseCounters& operator+=(const UarchPhaseCounters& other) noexcept {
+    golden_pass += other.golden_pass;
+    advance += other.advance;
+    continuation += other.continuation;
+    faulty += other.faulty;
+    catchup += other.catchup;
+    return *this;
+  }
+};
+
 struct CampaignTelemetry {
   std::vector<ShardStats> shards;  // shard-index order
   std::vector<ShardFailure> quarantined;  // quarantine order
@@ -113,6 +135,7 @@ struct CampaignTelemetry {
   double wall_ms = 0.0;
   bool complete = true;  // false when max_shards / quarantine / stop cut the run
   bool stopped = false;  // the stop flag ended the campaign early
+  UarchPhaseCounters uarch;  // zero for VM campaigns
 };
 
 // Seed for one shard's RNG stream: mixes the root seed with the workload

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -38,53 +40,130 @@ bool is_checkpoint_offset(u64 offset) noexcept {
   return offset % kSparseCheckpointStride == 0;
 }
 
-// Golden continuation from an injection point: the retired trace over the
-// monitor window plus the golden machine state at the end of the window.
+// Whether a trial record folds symptoms of this kind (record_symptom);
+// golden's plain mispredicts never reach a record, so they are not kept.
+bool recorded_symptom(const SymptomEvent& ev) noexcept {
+  return ev.kind != SymptomEvent::Kind::kMispredict;
+}
+
+// Golden continuation from an injection point, built lazily: the point's
+// trials extend it only as far as they read it (trace records, convergence
+// checkpoints, the end-of-window core), so a point whose trials all converge
+// early never simulates the rest of the monitor window. It advances in whole
+// cycles, so a trial the containment boundary aborts leaves it consistent
+// for the next trial of the point.
 //
-// When built with checkpoints, it additionally memoizes the golden machine
-// at scheduled cycle offsets plus the golden symptom stream over the window,
-// so a trial whose faulty core re-converges to the golden machine only
-// simulates its divergence window and derives the rest of its record from
-// golden data (see run_trial).
-struct GoldenContinuation {
-  std::vector<vm::Retired> trace;
-  Core end_core;
-  u64 base_retired = 0;
-
-  // Checkpoint c: golden state after executing checkpoint_offsets[c] cycles
-  // past the injection point, with trace_len_at[c] records retired so far.
-  std::vector<u64> checkpoint_offsets;
-  std::vector<u64> trace_len_at;
-  std::vector<Core> checkpoints;
-
-  // Golden's own symptom stream over the window (a clean run can emit
-  // high-confidence mispredicts or cache-miss bursts); replayed for trials
-  // that converge before the window ends.
-  struct GoldenSymptom {
-    u64 cycle_offset = 0;
-    SymptomEvent ev;
+// With a golden pass, a converged trial takes golden's later symptoms and
+// end status from the pass instead of extending the window to its end.
+class GoldenContinuation {
+ public:
+  struct Checkpoint {
+    u64 offset = 0;     // cycles past the injection point
+    u64 trace_len = 0;  // golden records retired by then
+    Core core;
   };
-  std::vector<GoldenSymptom> symptoms;
 
+  // `pass` may be null (a caller without one, e.g. run_uarch_plan_trial);
+  // `cycles` counts every golden cycle the continuation simulates.
   GoldenContinuation(const Core& at_point, u64 monitor_cycles,
-                     bool with_checkpoints)
-      : end_core(at_point), base_retired(at_point.retired_count()) {
-    trace.reserve(monitor_cycles);
-    for (u64 c = 0; c < monitor_cycles && end_core.running(); ++c) {
-      end_core.cycle();
-      for (const auto& rec : end_core.retired_this_cycle()) trace.push_back(rec);
-      if (with_checkpoints) {
-        for (const auto& ev : end_core.symptoms_this_cycle()) {
-          symptoms.push_back({c + 1, ev});
-        }
-        if (is_checkpoint_offset(c + 1)) {
-          checkpoint_offsets.push_back(c + 1);
-          trace_len_at.push_back(trace.size());
-          checkpoints.push_back(end_core);
-        }
+                     bool with_checkpoints, const GoldenPass* pass, u64& cycles)
+      : core_(at_point),
+        point_cycle_(at_point.cycle_count()),
+        base_retired_(at_point.retired_count()),
+        monitor_cycles_(monitor_cycles),
+        with_checkpoints_(with_checkpoints),
+        pass_(pass),
+        cycles_(cycles) {}
+
+  u64 base_retired() const noexcept { return base_retired_; }
+  bool with_checkpoints() const noexcept { return with_checkpoints_; }
+
+  // Golden record `idx` of the window; null when the window retires fewer.
+  const vm::Retired* record(u64 idx) {
+    while (trace_.size() <= idx && advance()) {
+    }
+    return idx < trace_.size() ? &trace_[idx] : nullptr;
+  }
+
+  // Golden machine `offset` cycles past the point (offset must be a
+  // checkpoint offset); null when golden stopped before reaching it.
+  const Checkpoint* checkpoint(u64 offset) {
+    while (executed_ < offset && advance()) {
+    }
+    if (executed_ < offset) return nullptr;
+    const auto it = std::lower_bound(
+        checkpoints_.begin(), checkpoints_.end(), offset,
+        [](const Checkpoint& cp, u64 o) { return cp.offset < o; });
+    return it != checkpoints_.end() && it->offset == offset ? &*it : nullptr;
+  }
+
+  // Golden machine at the end of the window, and the records it retired.
+  const Core& end_core() {
+    while (advance()) {
+    }
+    return core_;
+  }
+  u64 trace_size() {
+    end_core();
+    return trace_.size();
+  }
+
+  Core::Status end_status() {
+    if (pass_ == nullptr) return end_core().status();
+    return pass_->total_cycles <= point_cycle_ + monitor_cycles_
+               ? pass_->final_status
+               : Core::Status::kRunning;
+  }
+
+  // Calls fn(ev) for golden's symptoms after `offset` cycles, to the window's
+  // end.
+  template <class F>
+  void for_each_symptom_after(u64 offset, F&& fn) {
+    if (pass_ == nullptr) {
+      end_core();
+      for (const auto& gs : symptoms_) {
+        if (gs.cycle > point_cycle_ + offset) fn(gs.ev);
+      }
+      return;
+    }
+    const u64 last = point_cycle_ + monitor_cycles_;
+    auto it = std::upper_bound(
+        pass_->symptoms.begin(), pass_->symptoms.end(), point_cycle_ + offset,
+        [](u64 c, const GoldenPass::Symptom& gs) { return c < gs.cycle; });
+    for (; it != pass_->symptoms.end() && it->cycle <= last; ++it) fn(it->ev);
+  }
+
+ private:
+  // One golden cycle; false once the window is exhausted or golden stopped.
+  bool advance() {
+    if (executed_ >= monitor_cycles_ || !core_.running()) return false;
+    core_.cycle();
+    ++executed_;
+    ++cycles_;
+    for (const auto& rec : core_.retired_this_cycle()) trace_.push_back(rec);
+    if (with_checkpoints_ && pass_ == nullptr) {
+      for (const auto& ev : core_.symptoms_this_cycle()) {
+        if (recorded_symptom(ev)) symptoms_.push_back({core_.cycle_count(), ev});
       }
     }
+    if (with_checkpoints_ && is_checkpoint_offset(executed_)) {
+      checkpoints_.push_back({executed_, trace_.size(), core_});
+    }
+    return true;
   }
+
+  Core core_;
+  u64 point_cycle_ = 0;
+  u64 base_retired_ = 0;
+  u64 monitor_cycles_ = 0;
+  bool with_checkpoints_ = false;
+  const GoldenPass* pass_ = nullptr;
+  u64& cycles_;
+  u64 executed_ = 0;
+  std::vector<vm::Retired> trace_;
+  std::vector<Checkpoint> checkpoints_;
+  // Golden's symptoms over the window, kept only without a pass.
+  std::vector<GoldenPass::Symptom> symptoms_;
 };
 
 // Page cap implied by a budget (the tighter of max_pages and max_bytes).
@@ -130,10 +209,11 @@ void record_symptom(UarchTrialRecord& record, const SymptomEvent& ev, u64 base) 
 // latch the machine did not overwrite snaps back. A no-upset plan (rate-
 // driven model, no strike this trial) flips nothing and monitors a machine
 // identical to golden.
-UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
+UarchTrialRecord run_trial(Core& faulty, GoldenContinuation& golden,
                            const InjectionPlan& plan, u64 monitor_cycles,
                            u64 catchup_cycles,
-                           const ResourceBudget& trial_budget) {
+                           const ResourceBudget& trial_budget,
+                           UarchPhaseCounters& counters) {
   const StateRegistry& reg = StateRegistry::instance();
 
   const uarch::BitRef& bit = plan.bits.front();
@@ -172,22 +252,23 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
   // from golden data instead of simulated. Guards:
   //  - unlimited budget only: a budget-limited trial's abort point depends on
   //    executing the real cycles (absolute cycle/page counters);
-  //  - base == golden.base_retired and compared == trace_len_at[cp]: rules
-  //    out the pathological case of a corrupted retirement counter that
-  //    drifts back onto the golden value, which would misalign the remaining
-  //    trace comparison. state_equal then guarantees identical futures.
-  const bool shortcut_eligible =
-      trial_budget.unlimited() && !golden.checkpoints.empty() &&
-      base == golden.base_retired;
+  //  - base == golden.base_retired() and compared == the checkpoint's
+  //    trace_len: rules out the pathological case of a corrupted retirement
+  //    counter that drifts back onto the golden value, which would misalign
+  //    the remaining trace comparison. state_equal then guarantees identical
+  //    futures.
+  const bool shortcut_eligible = trial_budget.unlimited() &&
+                                 golden.with_checkpoints() &&
+                                 base == golden.base_retired();
 
   u64 compared = 0;
   bool overrun = false;
   bool prev_pc_mismatch = false;
   bool converged = false;
   u64 converged_offset = 0;
-  std::size_t next_cp = 0;
   for (u64 c = 0; c < monitor_cycles && faulty.running(); ++c) {
     faulty.cycle();
+    ++counters.faulty;
     if (plan.transient && plan.upset && c == 0) {
       // SET semantics: the glitch lasted one clock. Any planned latch still
       // holding its flipped value was not overwritten by the machine, so the
@@ -203,12 +284,12 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     }
     for (const auto& rec : faulty.retired_this_cycle()) {
       const u64 idx = compared++;
-      if (idx >= golden.trace.size()) {
+      const vm::Retired* ref = golden.record(idx);
+      if (ref == nullptr) {
         overrun = true;  // retired past the golden window (timing shift)
         continue;
       }
-      const vm::Retired& ref = golden.trace[idx];
-      if (rec.pc != ref.pc) {
+      if (rec.pc != ref->pc) {
         // A control-flow violation is a *sustained* divergence of the retired
         // pc stream. A single isolated mismatch is a corrupted pc bookkeeping
         // field (e.g. a ROB pc bit), not a different instruction stream.
@@ -219,17 +300,16 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
         record.trace_diverged = true;
       } else {
         prev_pc_mismatch = false;
-        if (!rec.same_effect(ref)) record.trace_diverged = true;
+        if (!rec.same_effect(*ref)) record.trace_diverged = true;
       }
     }
     for (const auto& ev : faulty.symptoms_this_cycle()) {
       record_symptom(record, ev, base);
     }
-    if (shortcut_eligible && next_cp < golden.checkpoint_offsets.size() &&
-        c + 1 == golden.checkpoint_offsets[next_cp]) {
-      const std::size_t cp = next_cp++;
-      if (!overrun && compared == golden.trace_len_at[cp] &&
-          faulty.state_equal(golden.checkpoints[cp])) {
+    if (shortcut_eligible && !overrun && is_checkpoint_offset(c + 1)) {
+      const auto* cp = golden.checkpoint(c + 1);
+      if (cp != nullptr && compared == cp->trace_len &&
+          faulty.state_equal(cp->core)) {
         converged = true;
         converged_offset = c + 1;
         break;
@@ -243,12 +323,12 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     // record-for-record (no new divergence, no overrun, and the carried
     // prev_pc_mismatch can never complete a sustained mismatch), the
     // remaining symptoms are golden's own, and the end-of-window state IS
-    // golden.end_core. The catchup phase is a no-op: the converged machine
-    // reaches exactly the golden retirement boundary inside the window.
-    for (const auto& gs : golden.symptoms) {
-      if (gs.cycle_offset > converged_offset) record_symptom(record, gs.ev, base);
-    }
-    record.end_status = golden.end_core.status();
+    // golden's. The catchup phase is a no-op: the converged machine reaches
+    // exactly the golden retirement boundary inside the window.
+    golden.for_each_symptom_after(converged_offset, [&](const SymptomEvent& ev) {
+      record_symptom(record, ev, base);
+    });
+    record.end_status = golden.end_status();
     if (record.end_status == Core::Status::kFaulted ||
         record.end_status == Core::Status::kDeadlocked) {
       record.arch_corrupt_at_end = true;
@@ -257,7 +337,7 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     record.arch_corrupt_at_end = false;
     if (!record.trace_diverged) {
       // Effect-identical prefix plus convergence: the end-of-window machine
-      // equals golden.end_core bit for bit.
+      // equals golden's bit for bit.
       record.uarch_state_equal = true;
       record.live_state_diff = false;
     }
@@ -280,16 +360,17 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     // Compare full microarchitectural state against the golden end to
     // separate masked / latent / other.
     record.arch_corrupt_at_end = false;
-    if (faulty.state_equal(golden.end_core)) {
+    const Core& golden_end = golden.end_core();
+    if (faulty.state_equal(golden_end)) {
       // Bit-identical machine: the registered-state diff is empty by
       // inclusion (state_equal compares a superset of the registry's fields
       // plus the memory digest), so skip the expensive field-by-field walk.
       record.uarch_state_equal = true;
       record.live_state_diff = false;
     } else {
-      const auto diff = reg.diff(faulty, golden.end_core);
-      record.uarch_state_equal = !diff.any && faulty.memory().digest() ==
-                                                  golden.end_core.memory().digest();
+      const auto diff = reg.diff(faulty, golden_end);
+      record.uarch_state_equal =
+          !diff.any && faulty.memory().digest() == golden_end.memory().digest();
       record.live_state_diff = diff.any_live;
     }
     return record;
@@ -298,11 +379,12 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
   // Diverged or timing-shifted: let the faulty machine catch up to the golden
   // retirement boundary, then compare architectural state (the paper's
   // refined failure definition: corrupt-then-overwritten is not a failure).
-  const u64 target = golden.base_retired + golden.trace.size();
+  const u64 target = golden.base_retired() + golden.trace_size();
   for (u64 c = 0; c < catchup_cycles && faulty.running() &&
                   faulty.retired_count() < target;
        ++c) {
     faulty.cycle();
+    ++counters.catchup;
     for (const auto& ev : faulty.symptoms_this_cycle()) {
       // Catch-up only decides end-of-trial corruption; the detectors were
       // judged over the monitor window. So only the symptoms that stop the
@@ -320,19 +402,140 @@ UarchTrialRecord run_trial(Core& faulty, const GoldenContinuation& golden,
     return record;
   }
 
+  const Core& golden_end = golden.end_core();
   const vm::ArchSnapshot fa = faulty.arch_snapshot();
-  const vm::ArchSnapshot ga = golden.end_core.arch_snapshot();
+  const vm::ArchSnapshot ga = golden_end.arch_snapshot();
   record.arch_corrupt_at_end =
       faulty.retired_count() != target || !(fa == ga) ||
-      faulty.memory().digest() != golden.end_core.memory().digest() ||
-      faulty.output() != golden.end_core.output();
+      faulty.memory().digest() != golden_end.memory().digest() ||
+      faulty.output() != golden_end.output();
   return record;
 }
 
-// Clean-run cycle counts are cached across campaigns (the figure binaries
-// re-run campaigns over the same workloads). Keyed by (workload, config) —
-// timing knobs change the cycle count — and mutex-guarded so concurrent
-// campaigns cannot race the insert.
+// A golden pass being computed or published. Whoever claims the slot runs
+// the clean pass; everyone else needing it waits on `ready`. Once published,
+// the pass is never written again.
+struct PassSlot {
+  PassSlot(std::string workload_name, const uarch::CoreConfig& core_config)
+      : workload(std::move(workload_name)), config(core_config) {}
+
+  const std::string workload;
+  const uarch::CoreConfig config;
+  Mutex mutex;
+  CondVar ready;
+  bool claimed RESTORE_GUARDED_BY(mutex) = false;
+  std::shared_ptr<const GoldenPass> pass RESTORE_GUARDED_BY(mutex);
+};
+
+// Safety cap on a clean run; every workload halts long before it.
+constexpr u64 kCleanRunCycleCap = 100'000'000;
+
+std::shared_ptr<const GoldenPass> run_golden_pass(const workloads::Workload& wl,
+                                                  const uarch::CoreConfig& config) {
+  // simlint: allow(PERF-ALLOC) -- once per workload and CoreConfig per process
+  auto pass = std::make_shared<GoldenPass>();
+  Core core(wl.program, config);
+  pass->rungs.push_back(core);
+  while (core.running() && core.cycle_count() < kCleanRunCycleCap) {
+    core.cycle();
+    for (const auto& ev : core.symptoms_this_cycle()) {
+      if (recorded_symptom(ev)) pass->symptoms.push_back({core.cycle_count(), ev});
+    }
+    if (core.cycle_count() % kGoldenRungSpacing == 0) pass->rungs.push_back(core);
+  }
+  pass->total_cycles = core.cycle_count();
+  pass->final_status = core.status();
+  return pass;
+}
+
+// Claims `slot` for the caller to compute; false when it is published or
+// another thread holds the claim.
+bool try_claim(PassSlot& slot) {
+  MutexLock lock(slot.mutex);
+  if (slot.pass != nullptr || slot.claimed) return false;
+  slot.claimed = true;
+  return true;
+}
+
+// Computes and publishes a claimed slot's pass, adding its cycles to
+// `computed_cycles`. A throw releases the claim so a waiter can retry.
+void compute_claimed(PassSlot& slot, u64& computed_cycles) {
+  std::shared_ptr<const GoldenPass> pass;
+  try {
+    pass = run_golden_pass(workloads::by_name(slot.workload), slot.config);
+  } catch (...) {
+    MutexLock lock(slot.mutex);
+    slot.claimed = false;
+    slot.ready.notify_all();
+    throw;
+  }
+  computed_cycles += pass->total_cycles;
+  MutexLock lock(slot.mutex);
+  slot.pass = std::move(pass);
+  slot.ready.notify_all();
+}
+
+// The pass of slots[own]. While another thread computes it, the caller
+// computes any unclaimed pass of `slots` instead of idling, and only then
+// waits: campaign workers share the probes without a barrier.
+std::shared_ptr<const GoldenPass> acquire_pass(
+    const std::vector<std::shared_ptr<PassSlot>>& slots, std::size_t own,
+    u64& computed_cycles) {
+  PassSlot& mine = *slots[own];
+  for (;;) {
+    if (try_claim(mine)) compute_claimed(mine, computed_cycles);
+    {
+      MutexLock lock(mine.mutex);
+      if (mine.pass != nullptr) return mine.pass;
+    }
+    bool helped = false;
+    for (const auto& other : slots) {
+      if (other.get() != &mine && try_claim(*other)) {
+        compute_claimed(*other, computed_cycles);
+        helped = true;
+        break;
+      }
+    }
+    if (helped) continue;
+    MutexLock lock(mine.mutex);
+    while (mine.pass == nullptr && mine.claimed) mine.ready.wait_locked(lock);
+    if (mine.pass != nullptr) return mine.pass;
+    // The claimer threw; loop to claim the slot ourselves.
+  }
+}
+
+// Process-wide pass slots of the most recently used CoreConfig. Switching
+// configs drops the old slots; campaigns still running hold theirs.
+class PassStore {
+ public:
+  std::shared_ptr<PassSlot> slot(const std::string& workload,
+                                 const uarch::CoreConfig& config) {
+    const std::string key = core_config_key(config);
+    MutexLock lock(mutex_);
+    if (key != config_key_) {
+      config_key_ = key;
+      slots_.clear();
+    }
+    auto& entry = slots_[workload];
+    // simlint: allow(PERF-ALLOC) -- once per workload and CoreConfig per process
+    if (entry == nullptr) entry = std::make_shared<PassSlot>(workload, config);
+    return entry;
+  }
+
+ private:
+  Mutex mutex_;
+  std::string config_key_ RESTORE_GUARDED_BY(mutex_);
+  std::map<std::string, std::shared_ptr<PassSlot>> slots_
+      RESTORE_GUARDED_BY(mutex_);
+};
+
+PassStore& pass_store() {
+  static PassStore store;
+  return store;
+}
+
+}  // namespace
+
 std::string core_config_key(const uarch::CoreConfig& c) {
   std::ostringstream key;
   key << c.alu_latency << ',' << c.mul_latency << ',' << c.div_latency << ','
@@ -345,29 +548,13 @@ std::string core_config_key(const uarch::CoreConfig& c) {
   return key.str();
 }
 
-struct CycleCountStore {
-  Mutex mutex;
-  std::map<std::pair<std::string, std::string>, u64> cache
-      RESTORE_GUARDED_BY(mutex);
-};
-
-u64 clean_cycle_count(const workloads::Workload& wl,
-                      const uarch::CoreConfig& config) {
-  static CycleCountStore store;
-  const auto key = std::make_pair(wl.name, core_config_key(config));
-  {
-    MutexLock lock(store.mutex);
-    const auto it = store.cache.find(key);
-    if (it != store.cache.end()) return it->second;
-  }
-  Core probe(wl.program, config);
-  probe.run(100'000'000);
-  const u64 cycles = probe.cycle_count();
-  MutexLock lock(store.mutex);
-  return store.cache.emplace(key, cycles).first->second;
+std::shared_ptr<const GoldenPass> golden_pass(const std::string& workload,
+                                              const uarch::CoreConfig& config) {
+  const std::vector<std::shared_ptr<PassSlot>> slots{
+      pass_store().slot(workload, config)};
+  u64 computed_cycles = 0;
+  return acquire_pass(slots, 0, computed_cycles);
 }
-
-}  // namespace
 
 bool convergence_shortcut() noexcept {
   return g_convergence_shortcut.load();
@@ -392,10 +579,12 @@ UarchTrialRecord run_uarch_plan_trial(const Core& golden_at_point,
                                       u64 monitor_cycles, u64 catchup_cycles,
                                       const ResourceBudget& trial_budget) {
   const bool with_checkpoints = convergence_shortcut() && trial_budget.unlimited();
-  GoldenContinuation golden(golden_at_point, monitor_cycles, with_checkpoints);
+  UarchPhaseCounters counters;
+  GoldenContinuation golden(golden_at_point, monitor_cycles, with_checkpoints,
+                            nullptr, counters.continuation);
   Core faulty = golden_at_point;
   return run_trial(faulty, golden, plan, monitor_cycles, catchup_cycles,
-                   trial_budget);
+                   trial_budget, counters);
 }
 
 namespace {
@@ -419,14 +608,16 @@ UarchTrialRecord aborted_uarch_record(const uarch::BitRef& bit,
 
 // One shard: a contiguous trial range of one workload, grouped into
 // injection points of `trials_per_point` trials. The shard samples its
-// injection cycles and bits from its own RNG stream, advances its own golden
-// core through the sorted points, builds each point's golden continuation and
-// runs the point's trials against it. Shards are
-// independent, so the campaign parallelizes across shards with no
-// cross-shard state at all.
+// injection cycles and bits from its own RNG stream, starts each sorted point
+// from the nearest golden-pass rung (or its own golden core, when that is
+// nearer), and runs the point's trials against a lazy golden continuation.
+// Shards share only the immutable pass, so the campaign parallelizes across
+// shards with no mutable cross-shard state.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard,
-                                              u64 total_cycles) {
+                                              const GoldenPass& pass,
+                                              UarchPhaseCounters& counters) {
+  const u64 total_cycles = pass.total_cycles;
   const StateRegistry& reg = StateRegistry::instance();
   const workloads::Workload& wl = workloads::by_name(shard.workload);
   Rng rng(shard.seed);
@@ -483,19 +674,27 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
 
   std::vector<UarchTrialRecord> records;
   records.reserve(shard.trial_count);
-  Core golden(wl.program, config.core_config);
+  std::optional<Core> golden;
   for (u64 p = 0; p < points; ++p) {
-    while (golden.running() && golden.cycle_count() < cycles[p]) golden.cycle();
-    if (!golden.running()) break;  // sampled past program end; drop the tail
+    const Core& rung = pass.rungs[std::min<u64>(cycles[p] / kGoldenRungSpacing,
+                                                pass.rungs.size() - 1)];
+    if (!golden || golden->cycle_count() < rung.cycle_count()) golden = rung;
+    while (golden->running() && golden->cycle_count() < cycles[p]) {
+      golden->cycle();
+      ++counters.advance;
+    }
+    if (!golden->running()) break;  // sampled past program end; drop the tail
 
-    const GoldenContinuation continuation(golden, config.monitor_cycles,
-                                          with_checkpoints);
+    GoldenContinuation continuation(*golden, config.monitor_cycles,
+                                    with_checkpoints, &pass,
+                                    counters.continuation);
     for (const auto& plan : plans[p]) {
       UarchTrialRecord record;
       const auto abort = contain_trial([&] {
-        Core faulty = golden;
+        Core faulty = *golden;
         record = run_trial(faulty, continuation, plan, config.monitor_cycles,
-                           config.catchup_cycles, config.trial_budget);
+                           config.catchup_cycles, config.trial_budget,
+                           counters);
       });
       if (abort) record = aborted_uarch_record(plan.bits.front(), *abort);
       if (!default_model) {
@@ -515,13 +714,11 @@ std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
 
 }  // namespace
 
-// Public shard entry point: probes the workload's clean cycle count itself
-// (cached process-wide), then delegates to the planner-driven shard body.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard) {
-  return run_uarch_shard(config, shard,
-                         clean_cycle_count(workloads::by_name(shard.workload),
-                                           config.core_config));
+  UarchPhaseCounters counters;
+  const auto pass = golden_pass(shard.workload, config.core_config);
+  return run_uarch_shard(config, shard, *pass, counters);
 }
 
 u64 config_hash(const UarchCampaignConfig& config) {
@@ -562,17 +759,21 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
     names = config.workloads;
   }
 
-  // Warm the clean-run cycle cache serially: every shard of a workload needs
-  // its total cycle count, and probing it once up front keeps concurrent
-  // shards from racing to run the same probe.
-  std::map<std::string, u64> total_cycles;
+  // One pass slot per workload, held for the whole campaign. The passes
+  // themselves are computed by the shards that first need them.
+  std::map<std::string, std::size_t> slot_of;
+  std::vector<std::shared_ptr<PassSlot>> slots;
   for (const auto& name : names) {
-    total_cycles[name] = clean_cycle_count(workloads::by_name(name),
-                                           config.core_config);
+    workloads::by_name(name);  // an unknown workload fails the campaign here
+    if (slot_of.emplace(name, slots.size()).second) {
+      slots.push_back(pass_store().slot(name, config.core_config));
+    }
   }
 
   const auto shards = plan_shards(config.seed, names, config.trials_per_workload,
                                   options.shard_trials);
+  // Each shard writes only its own counters (an attempt starts them afresh).
+  std::vector<UarchPhaseCounters> shard_counters(shards.size());
 
   CampaignManifest identity;
   identity.kind = "uarch";
@@ -583,8 +784,12 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
 
   result.trials = run_sharded_campaign<UarchTrialRecord>(
       shards, std::move(identity), options,
-      [&config, &total_cycles](const ShardSpec& shard) {
-        return run_uarch_shard(config, shard, total_cycles.at(shard.workload));
+      [&](const ShardSpec& shard) {
+        UarchPhaseCounters& counters = shard_counters.at(shard.index);
+        counters = {};
+        const auto pass =
+            acquire_pass(slots, slot_of.at(shard.workload), counters.golden_pass);
+        return run_uarch_shard(config, shard, *pass, counters);
       },
       uarch_trial_to_jsonl, uarch_trial_from_jsonl,
       [](const UarchTrialRecord& trial) {
@@ -592,6 +797,10 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
             trial, DetectorModel::kPerfectCfv, ProtectionModel::kBaseline, 100)));
       },
       telemetry);
+  if (telemetry != nullptr) {
+    telemetry->uarch = {};
+    for (const auto& counters : shard_counters) telemetry->uarch += counters;
+  }
   return result;
 }
 

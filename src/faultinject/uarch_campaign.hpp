@@ -12,6 +12,7 @@
 // Figure 6 (hardened "lhf" pipeline) simultaneously.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,10 @@ struct UarchCampaignConfig {
   // default campaigns stay byte-identical; non-default models draw their
   // plans from a per-shard model substream and contribute to config_hash.
   FaultModelConfig fault_model;
-  // Worker threads for trial execution (0 = run inline). Results are
-  // deterministic regardless: bits are pre-sampled sequentially, trials are
-  // independent and write pre-assigned result slots. Trial fan-out is
-  // pipelined: workers run trials for earlier injection points while the
-  // main thread advances the golden core to later ones.
+  // Worker threads for shard execution (0 = run inline). Results are
+  // deterministic regardless: each shard draws from its own RNG stream, and
+  // shards share nothing but the immutable golden passes, which the same
+  // workers compute on first use.
   std::size_t workers = 0;
 };
 
@@ -132,9 +132,48 @@ UarchCampaignResult run_uarch_campaign(const UarchCampaignConfig& config,
 // Run one planned shard (exposed for tests and custom supervisors). Every
 // trial body executes inside the containment boundary, so each record has a
 // classified outcome even when the corrupted machine drives the simulator
-// into a throw or past its resource budget.
+// into a throw or past its resource budget. The shard takes its workload's
+// golden pass from the process-wide store (golden_pass below), computing it
+// first when no campaign has.
 std::vector<UarchTrialRecord> run_uarch_shard(const UarchCampaignConfig& config,
                                               const ShardSpec& shard);
+
+// Cycles between two rungs of a golden pass. A fixed constant, not an
+// option: halving it raised peak RSS of a seven-workload campaign by about
+// 4-5 MiB with no clear throughput gain.
+inline constexpr u64 kGoldenRungSpacing = 8192;
+
+// A workload's golden pass: one clean run under one CoreConfig, the only
+// golden simulation the campaign shares between shards. Shards start each
+// injection point from the nearest rung at or below it, and a trial that
+// re-converges with golden takes golden's later symptoms and end status from
+// here. Immutable once published, so any number of threads may copy rungs
+// concurrently (vm/memory.hpp's fork-from-a-still-snapshot contract).
+struct GoldenPass {
+  u64 total_cycles = 0;  // cycle count when the clean run stopped
+  uarch::Core::Status final_status = uarch::Core::Status::kRunning;
+  // Golden's symptom stream (every kind a trial record folds), tagged with
+  // the cycle count after the cycle that raised it.
+  struct Symptom {
+    u64 cycle = 0;
+    uarch::SymptomEvent ev;
+  };
+  std::vector<Symptom> symptoms;
+  // rungs[i] is the clean core at cycle i * kGoldenRungSpacing.
+  std::vector<uarch::Core> rungs;
+};
+
+// The golden pass of `workload` under `config`, computed by the first caller
+// and shared afterwards. The process-wide store keeps the passes of the most
+// recently used CoreConfig only (about 3 MB for all seven workloads); a
+// holder of the returned pointer keeps its pass alive after eviction.
+std::shared_ptr<const GoldenPass> golden_pass(const std::string& workload,
+                                              const uarch::CoreConfig& config);
+
+// Canonical text of every CoreConfig field: keys the golden-pass store and
+// enters config_hash, so a field missing here would let two machines share
+// golden state and one campaign identity.
+std::string core_config_key(const uarch::CoreConfig& config);
 
 // Single trial against a pre-warmed golden core (exposed for tests).
 // `golden_at_point` must be running. `trial_budget` limits are relative to

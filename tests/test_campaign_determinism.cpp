@@ -84,6 +84,38 @@ TEST(CampaignDeterminism, UarchCampaignIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(traces[0], traces[2]);
 }
 
+// Phase counters are deterministic work counts: every count but the golden
+// pass (which depends on the passes the process already holds) is identical
+// at any worker count.
+TEST(CampaignDeterminism, UarchPhaseCountersAreIdenticalAcrossWorkerCounts) {
+  UarchCampaignConfig config;
+  config.seed = 0xD378;
+  config.trials_per_workload = 16;
+  config.workloads = {"gzip", "mcf"};
+  config.monitor_cycles = 2'000;
+  config.catchup_cycles = 2'000;
+
+  std::vector<UarchPhaseCounters> runs;
+  for (const std::size_t workers : {0u, 2u, 8u}) {
+    CampaignRunOptions opts;
+    opts.workers = workers;
+    opts.shard_trials = 4;
+    CampaignTelemetry telemetry;
+    run_uarch_campaign(config, opts, &telemetry);
+    runs.push_back(telemetry.uarch);
+  }
+  EXPECT_GT(runs[0].advance, 0u);
+  EXPECT_GT(runs[0].continuation, 0u);
+  EXPECT_GT(runs[0].faulty, 0u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[0].advance, runs[i].advance) << i;
+    EXPECT_EQ(runs[0].continuation, runs[i].continuation) << i;
+    EXPECT_EQ(runs[0].faulty, runs[i].faulty) << i;
+    EXPECT_EQ(runs[0].catchup, runs[i].catchup) << i;
+    EXPECT_EQ(runs[i].golden_pass, 0u) << i;  // the first run's passes serve
+  }
+}
+
 // Absolute pin of uarch trace content. Every other uarch identity test
 // compares two runs of the current code, so a change that shifts both sides
 // alike (say, the catch-up phase starting to record symptoms it used to
