@@ -109,10 +109,7 @@ int main(int argc, char** argv) {
       ++flow_fired_failing;
     }
   }
-  std::printf("\nillegal-flow watchdog fired in %llu trials (%llu failing) — in\n"
-              "this model the failing ones are also exception-covered, so the\n"
-              "watchdog's added coverage is the *illegal* cfv residue only,\n"
-              "as §5.2.1 predicts.\n",
+  std::printf("\nillegal-flow watchdog fired in %llu trials (%llu failing)\n",
               static_cast<unsigned long long>(flow_fired),
               static_cast<unsigned long long>(flow_fired_failing));
   std::printf("\nbaseline failure probability: %s (%zu trials)\n",

@@ -87,41 +87,4 @@ inline std::string latency_label(u64 edge) {
   return std::to_string(edge);
 }
 
-// Render the Figures 4-6 stacked-category table: one row per checkpoint
-// interval, one column per Table 2 category (shares of all trials).
-inline void print_uarch_category_table(
-    const std::vector<faultinject::UarchTrialRecord>& trials,
-    faultinject::DetectorModel detector, faultinject::ProtectionModel protection) {
-  using faultinject::UarchOutcome;
-  const auto categories = {UarchOutcome::kMasked,   UarchOutcome::kOther,
-                           UarchOutcome::kLatent,   UarchOutcome::kSdc,
-                           UarchOutcome::kCfv,      UarchOutcome::kException,
-                           UarchOutcome::kDeadlock};
-  std::vector<std::string> header = {"interval"};
-  for (const auto category : categories) {
-    header.emplace_back(to_string(category));
-  }
-  header.emplace_back("covered/failures");
-  TextTable table(std::move(header));
-
-  for (const u64 interval : checkpoint_interval_sweep()) {
-    const auto shares =
-        faultinject::category_shares(trials, detector, protection, interval);
-    std::vector<std::string> row = {std::to_string(interval)};
-    double covered = 0, failures = 0;
-    for (const auto category : categories) {
-      const auto it = shares.find(category);
-      const double share = it == shares.end() ? 0.0 : it->second;
-      row.push_back(TextTable::fmt_pct(share, 2));
-      if (faultinject::is_covered(category)) covered += share;
-      if (faultinject::is_failure(category)) failures += share;
-    }
-    row.push_back(failures > 0
-                      ? TextTable::fmt_pct(covered / failures, 1)
-                      : std::string("n/a"));
-    table.add_row(std::move(row));
-  }
-  std::fputs(table.render().c_str(), stdout);
-}
-
 }  // namespace restore::bench

@@ -74,12 +74,13 @@ std::map<UarchOutcome, double> category_shares(
   return shares;
 }
 
-double failure_fraction(const std::vector<UarchTrialRecord>& trials,
-                        ProtectionModel protection) {
-  if (trials.empty()) return 0.0;
+ProportionCi failure_rate(const std::vector<UarchTrialRecord>& trials,
+                          ProtectionModel protection) {
   std::size_t failures = 0;
+  std::size_t eligible = 0;
   for (const auto& trial : trials) {
     if (trial.aborted()) continue;  // tool artefact, not a hardware outcome
+    ++eligible;
     if (protection == ProtectionModel::kLhf &&
         trial.protection != uarch::LhfProtection::kNone) {
       continue;  // corrected/recovered by the hardware protection
@@ -92,12 +93,12 @@ double failure_fraction(const std::vector<UarchTrialRecord>& trials,
       ++failures;
     }
   }
-  const std::size_t eligible =
-      trials.size() - static_cast<std::size_t>(std::count_if(
-                          trials.begin(), trials.end(),
-                          [](const UarchTrialRecord& t) { return t.aborted(); }));
-  if (eligible == 0) return 0.0;
-  return static_cast<double>(failures) / eligible;
+  return wilson_interval(failures, eligible);
+}
+
+double failure_fraction(const std::vector<UarchTrialRecord>& trials,
+                        ProtectionModel protection) {
+  return failure_rate(trials, protection).estimate;
 }
 
 double uncovered_fraction(const std::vector<UarchTrialRecord>& trials,

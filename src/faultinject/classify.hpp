@@ -37,7 +37,13 @@ std::map<UarchOutcome, double> category_shares(
     ProtectionModel protection, u64 interval);
 
 // Raw failure probability with no detection/recovery at all: the paper's
-// "~7% of injected faults propagate to some form of failure".
+// "~7% of injected faults propagate to some form of failure", as a Wilson
+// interval over the eligible trials (aborted trials are tool artefacts,
+// excluded from both the failure count and the denominator).
+ProportionCi failure_rate(const std::vector<UarchTrialRecord>& trials,
+                          ProtectionModel protection = ProtectionModel::kBaseline);
+
+// The point estimate of failure_rate.
 double failure_fraction(const std::vector<UarchTrialRecord>& trials,
                         ProtectionModel protection = ProtectionModel::kBaseline);
 

@@ -242,6 +242,20 @@ TEST(UarchCampaign, CoverageImprovesWithInterval) {
   const double uncovered_2000 = uncovered_fraction(
       result.trials, DetectorModel::kPerfectCfv, ProtectionModel::kBaseline, 2000);
   EXPECT_LE(uncovered_2000, uncovered_25);
+  // Figures 4-6 shape: a longer rollback reach never uncovers a failure, for
+  // every detector and protection model and every step of the sweep.
+  const auto sweep = checkpoint_interval_sweep();
+  for (const auto detector : {DetectorModel::kPerfectCfv, DetectorModel::kJrsConfidence,
+                              DetectorModel::kJrsPlusIllegalFlow}) {
+    for (const auto protection : {ProtectionModel::kBaseline, ProtectionModel::kLhf}) {
+      for (std::size_t i = 1; i < sweep.size(); ++i) {
+        EXPECT_LE(uncovered_fraction(result.trials, detector, protection, sweep[i]),
+                  uncovered_fraction(result.trials, detector, protection, sweep[i - 1]))
+            << "detector " << static_cast<int>(detector) << ", protection "
+            << static_cast<int>(protection) << ", interval " << sweep[i];
+      }
+    }
+  }
 }
 
 TEST(UarchCampaign, JrsDetectorCoversNoMoreThanPerfectPlusRollbacks) {
@@ -256,6 +270,17 @@ TEST(UarchCampaign, JrsDetectorCoversNoMoreThanPerfectPlusRollbacks) {
                                         ProtectionModel::kLhf, 100);
   EXPECT_GE(m_restore, 1.0);
   EXPECT_GE(m_lhf, m_restore);
+  // The headline ordering (paper §5.2-5.3): baseline > ReStore > lhf >
+  // lhf+ReStore failure probability at the 100-insn interval.
+  const double base = failure_fraction(result.trials);
+  const double restore = uncovered_fraction(result.trials, DetectorModel::kJrsConfidence,
+                                            ProtectionModel::kBaseline, 100);
+  const double lhf = failure_fraction(result.trials, ProtectionModel::kLhf);
+  const double lhf_restore = uncovered_fraction(
+      result.trials, DetectorModel::kJrsConfidence, ProtectionModel::kLhf, 100);
+  EXPECT_GT(base, restore);
+  EXPECT_GT(restore, lhf);
+  EXPECT_GT(lhf, lhf_restore);
 }
 
 // ---- classifier unit behaviour ----
@@ -337,6 +362,30 @@ TEST(Classifier, LatentVsOtherByLiveness) {
   EXPECT_EQ(classify_trial(trial, DetectorModel::kPerfectCfv,
                            ProtectionModel::kBaseline, 100),
             UarchOutcome::kMasked);
+}
+
+TEST(Classifier, FailureRateExcludesAbortedTrials) {
+  // Three failing trials (one lhf-protected), one masked trial and one
+  // aborted trial: the aborted one is excluded from numerator and
+  // denominator alike.
+  std::vector<UarchTrialRecord> trials(3, failing_trial());
+  trials[2].protection = uarch::LhfProtection::kParity;
+  trials.emplace_back();
+  trials[3].uarch_state_equal = true;
+  trials.push_back(failing_trial());
+  trials[4].abort_type = "std::runtime_error";
+
+  const auto expect_rate = [&](ProtectionModel protection, std::size_t failing) {
+    const ProportionCi rate = failure_rate(trials, protection);
+    const ProportionCi want = wilson_interval(failing, 4);
+    EXPECT_DOUBLE_EQ(rate.estimate, want.estimate);
+    EXPECT_DOUBLE_EQ(rate.margin(), want.margin());
+    EXPECT_DOUBLE_EQ(failure_fraction(trials, protection), want.estimate);
+  };
+  expect_rate(ProtectionModel::kBaseline, 3);
+  expect_rate(ProtectionModel::kLhf, 2);
+  EXPECT_DOUBLE_EQ(failure_fraction(trials), 0.75);
+  EXPECT_EQ(failure_rate({}).estimate, 0.0);
 }
 
 TEST(Classifier, SharesSumToOne) {
