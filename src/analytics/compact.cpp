@@ -7,9 +7,8 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "faultinject/vm_campaign.hpp"
 #include "isa/instruction.hpp"
-#include "vm/vm.hpp"
-#include "workloads/workloads.hpp"
 
 namespace restore::analytics {
 
@@ -20,30 +19,6 @@ using faultinject::ParsedVmTrial;
 
 [[noreturn]] void bad_trace(const std::string& what) {
   throw std::runtime_error("compact: " + what);
-}
-
-// The dynamic-instruction sites of one workload's golden run, indexed by
-// inject_index. Opcode strings are ISA mnemonics.
-struct GoldenSites {
-  std::vector<u64> pc;
-  std::vector<std::string> opcode;
-};
-
-GoldenSites replay_workload(const std::string& name) {
-  GoldenSites sites;
-  const workloads::Workload* workload = nullptr;
-  try {
-    workload = &workloads::by_name(name);
-  } catch (const std::exception&) {
-    return sites;  // unknown workload: derived columns stay "?"/0
-  }
-  vm::Vm vm(workload->program);
-  while (const auto retired = vm.step()) {
-    sites.pc.push_back(retired->pc);
-    const isa::DecodedInst inst = isa::decode(retired->insn);
-    sites.opcode.emplace_back(inst.valid ? isa::mnemonic(inst.op) : "?");
-  }
-  return sites;
 }
 
 // Split the trace into its header (if any) and trial lines.
@@ -131,11 +106,20 @@ CompactResult compact_vm(const std::string& store_path,
   const auto records = parse_lines<ParsedVmTrial>(
       trace.lines, options.threads, faultinject::vm_trial_from_jsonl);
 
-  // Golden replays for the root-cause columns, one per workload present.
-  std::map<std::string, GoldenSites> sites;
+  // Golden passes for the root-cause columns, one per workload present (the
+  // campaign's own when it ran in this process). An unknown workload has
+  // none, and its rows keep "?"/0.
+  std::map<std::string, const faultinject::VmGoldenPass*> passes;
   if (options.derive_root_cause) {
-    for (const auto& record : records) sites.try_emplace(record.trial.workload);
-    for (auto& [name, golden] : sites) golden = replay_workload(name);
+    for (const auto& record : records) {
+      const auto [it, inserted] = passes.try_emplace(record.trial.workload, nullptr);
+      if (!inserted) continue;
+      try {
+        it->second = &faultinject::vm_golden_pass(it->first);
+      } catch (const std::exception&) {
+        // unknown workload: no pass
+      }
+    }
   }
 
   std::vector<std::string> columns = {
@@ -179,10 +163,12 @@ CompactResult compact_vm(const std::string& store_path,
       extra_bits[i] = trial.extra_bits;
       upset[i] = trial.upset;
       if (options.derive_root_cause) {
-        const auto it = sites.find(trial.workload);
-        if (it != sites.end() && trial.inject_index < it->second.pc.size()) {
-          pc[i] = it->second.pc[trial.inject_index];
-          opcode[i] = it->second.opcode[trial.inject_index];
+        const faultinject::VmGoldenPass* pass = passes.at(trial.workload);
+        if (pass != nullptr && trial.inject_index < pass->records.size()) {
+          const faultinject::VmGoldenRecord& site = pass->records[trial.inject_index];
+          pc[i] = site.pc;
+          const isa::DecodedInst inst = isa::decode(site.insn);
+          opcode[i] = inst.valid ? isa::mnemonic(inst.op) : "?";
         }
       }
     }

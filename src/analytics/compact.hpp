@@ -5,7 +5,8 @@
 // then encodes columns sequentially in the trace's line order, so the output
 // bytes are identical at any thread count. For vm traces it also derives the
 // root-cause columns — the pc and opcode mnemonic of the corrupted
-// instruction — by replaying each workload's golden run once and indexing it
+// instruction — by indexing each workload's VM golden pass
+// (faultinject::vm_golden_pass, shared with any campaign in the same process)
 // with `inject_index`; derived columns are analysis products and take no part
 // in the round trip.
 #pragma once
@@ -21,8 +22,8 @@ namespace restore::analytics {
 
 struct CompactOptions {
   std::size_t threads = 0;  // JSONL parse parallelism; 0 = inline
-  // Derive vm root-cause pc/opcode columns via one golden replay per
-  // workload. Off saves the replays when only outcome/latency queries are
+  // Derive vm root-cause pc/opcode columns from each workload's golden pass.
+  // Off saves building the passes when only outcome/latency queries are
   // needed (the columns are then absent from the store).
   bool derive_root_cause = true;
 };

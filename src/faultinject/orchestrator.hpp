@@ -127,6 +127,24 @@ struct UarchPhaseCounters {
   }
 };
 
+// The VM campaign's counterpart, in retired instructions, plus the number of
+// trials the convergence shortcut stopped. Same rules: deterministic at any
+// worker count except golden_pass, and telemetry only.
+struct VmPhaseCounters {
+  u64 golden_pass = 0;  // clean runs this campaign computed (golden passes)
+  u64 advance = 0;      // golden machine from a rung to each injection site
+  u64 monitored = 0;    // faulty machines after injection
+  u64 converged = 0;    // trials, not instructions
+
+  VmPhaseCounters& operator+=(const VmPhaseCounters& other) noexcept {
+    golden_pass += other.golden_pass;
+    advance += other.advance;
+    monitored += other.monitored;
+    converged += other.converged;
+    return *this;
+  }
+};
+
 struct CampaignTelemetry {
   std::vector<ShardStats> shards;  // shard-index order
   std::vector<ShardFailure> quarantined;  // quarantine order
@@ -136,6 +154,7 @@ struct CampaignTelemetry {
   bool complete = true;  // false when max_shards / quarantine / stop cut the run
   bool stopped = false;  // the stop flag ended the campaign early
   UarchPhaseCounters uarch;  // zero for VM campaigns
+  VmPhaseCounters vm;        // zero for uarch campaigns
 };
 
 // Seed for one shard's RNG stream: mixes the root seed with the workload

@@ -1,7 +1,6 @@
 #include "faultinject/uarch_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,9 +22,6 @@ using uarch::StateRegistry;
 using uarch::SymptomEvent;
 
 namespace {
-
-// Backs convergence_shortcut() / set_convergence_shortcut().
-std::atomic<bool> g_convergence_shortcut{true};
 
 // Convergence-checkpoint schedule over the monitor window: dense while young
 // (most masked faults are overwritten within a few hundred cycles) and sparse
@@ -554,14 +550,6 @@ std::shared_ptr<const GoldenPass> golden_pass(const std::string& workload,
       pass_store().slot(workload, config)};
   u64 computed_cycles = 0;
   return acquire_pass(slots, 0, computed_cycles);
-}
-
-bool convergence_shortcut() noexcept {
-  return g_convergence_shortcut.load();
-}
-
-void set_convergence_shortcut(bool enabled) noexcept {
-  g_convergence_shortcut.store(enabled);
 }
 
 UarchTrialRecord run_uarch_trial(const Core& golden_at_point,

@@ -19,6 +19,7 @@
 #include "common/budget.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "faultinject/convergence.hpp"
 #include "faultinject/fault_model.hpp"
 #include "faultinject/outcome.hpp"
 #include "uarch/core.hpp"
@@ -183,15 +184,6 @@ UarchTrialRecord run_uarch_trial(const uarch::Core& golden_at_point,
                                  const uarch::BitRef& bit, u64 monitor_cycles,
                                  u64 catchup_cycles,
                                  const ResourceBudget& trial_budget = {});
-
-// Convergence shortcut, on by default: a trial whose faulty core becomes
-// bit-identical to a golden checkpoint stops simulating and derives the rest
-// of its record from golden data. Traces are byte-identical either way
-// (test_trial_speed pins this), so the switch is not part of config_hash and
-// has no CLI flag; tests and benchmarks turn it off for a full-simulation
-// reference. Set it between campaigns: shards read it when they start.
-bool convergence_shortcut() noexcept;
-void set_convergence_shortcut(bool enabled) noexcept;
 
 // Plan-driven single trial (exposed for the fault-model property tests): flip
 // every bit of `plan` at the injection point (none when plan.upset is false),

@@ -1,8 +1,8 @@
 #include "faultinject/vm_campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -16,64 +16,111 @@ namespace restore::faultinject {
 
 namespace {
 
-// Cache of golden traces per workload (the campaign replays them for every
-// trial).
-struct GoldenTrace {
-  std::vector<vm::Retired> records;
-  std::vector<u64> result_indices;  // dynamic indices of register-writing insns
-  std::string output;
-  // Architectural register file at the end of the clean run (residual-
-  // corruption comparison; avoids re-running a reference VM per trial).
-  std::array<u64, isa::kNumArchRegs> final_regs{};
-};
-
-// Guarded cache so concurrent first-use from parallel trials cannot race the
-// insert. One struct ties the map to its mutex for the thread-safety
-// analysis; std::map never invalidates element references, so returned
-// references stay valid after the lock is released.
-struct GoldenStore {
-  Mutex mutex;
-  std::map<std::string, GoldenTrace> cache RESTORE_GUARDED_BY(mutex);
-};
-
-const GoldenTrace& golden_trace(const workloads::Workload& workload) {
-  static GoldenStore store;
-  MutexLock lock(store.mutex);
-  auto& cache = store.cache;
-  auto it = cache.find(workload.name);
-  if (it != cache.end()) return it->second;
-
-  GoldenTrace trace;
-  vm::Vm vm(workload.program);
-  while (auto rec = vm.step()) {
-    if (rec->wrote_reg) trace.result_indices.push_back(trace.records.size());
-    trace.records.push_back(*rec);
-  }
-  trace.output = vm.output();
-  for (u8 r = 0; r < isa::kNumArchRegs; ++r) trace.final_regs[r] = vm.reg(r);
-  if (trace.result_indices.empty()) {
-    throw std::logic_error("workload produces no register results: " + workload.name);
-  }
-  return cache.emplace(workload.name, std::move(trace)).first->second;
+VmGoldenRecord golden_record(const vm::Retired& rec) noexcept {
+  VmGoldenRecord out;
+  out.pc = rec.pc;
+  out.addr = rec.is_store ? rec.store_addr : rec.load_addr;
+  out.value = rec.is_store ? rec.store_data : rec.rd_value;
+  out.insn = rec.insn;
+  out.rd = rec.rd;
+  out.wrote_reg = rec.wrote_reg;
+  out.is_store = rec.is_store;
+  out.is_load = rec.is_load;
+  return out;
 }
 
-}  // namespace
+std::unique_ptr<const VmGoldenPass> run_vm_golden_pass(
+    const workloads::Workload& workload) {
+  // simlint: allow(PERF-ALLOC) -- once per workload per process
+  auto pass = std::make_unique<VmGoldenPass>();
+  vm::Vm vm(workload.program);
+  while (vm.running()) {
+    if (vm.retired_count() % kVmRungSpacing == 0) pass->rungs.push_back(vm);
+    const auto rec = vm.step();
+    if (rec->wrote_reg) pass->result_indices.push_back(pass->records.size());
+    pass->records.push_back(golden_record(*rec));
+  }
+  pass->halted = vm.status() == vm::Vm::Status::kHalted;
+  for (u8 r = 0; r < isa::kNumArchRegs; ++r) pass->final_regs[r] = vm.reg(r);
+  if (pass->result_indices.empty()) {
+    throw std::logic_error("workload produces no register results: " + workload.name);
+  }
+  return pass;
+}
 
-namespace {
+// A workload's golden pass being computed or published. The first caller
+// claims the slot and runs the clean pass outside every lock; later callers
+// wait on `ready`. Once published, the pass is never written again.
+struct VmPassSlot {
+  Mutex mutex;
+  CondVar ready;
+  bool claimed RESTORE_GUARDED_BY(mutex) = false;
+  std::unique_ptr<const VmGoldenPass> pass RESTORE_GUARDED_BY(mutex);
+};
+
+// One slot per workload, never evicted. std::map never invalidates element
+// references, so a slot outlives the store lock.
+struct VmPassStore {
+  Mutex mutex;
+  std::map<std::string, VmPassSlot> slots RESTORE_GUARDED_BY(mutex);
+};
+
+// The pass of `workload`, adding the instructions of a pass the caller
+// computed to `computed_insns`. A throw releases the claim so a waiter can
+// retry.
+const VmGoldenPass& acquire_vm_pass(const workloads::Workload& workload,
+                                    u64& computed_insns) {
+  static VmPassStore store;
+  VmPassSlot* slot = nullptr;
+  {
+    MutexLock lock(store.mutex);
+    slot = &store.slots[workload.name];
+  }
+  {
+    MutexLock lock(slot->mutex);
+    while (slot->pass == nullptr && slot->claimed) slot->ready.wait_locked(lock);
+    if (slot->pass != nullptr) return *slot->pass;
+    slot->claimed = true;
+  }
+  std::unique_ptr<const VmGoldenPass> pass;
+  try {
+    pass = run_vm_golden_pass(workload);
+  } catch (...) {
+    MutexLock lock(slot->mutex);
+    slot->claimed = false;
+    slot->ready.notify_all();
+    throw;
+  }
+  computed_insns += pass->records.size();
+  MutexLock lock(slot->mutex);
+  slot->pass = std::move(pass);
+  slot->ready.notify_all();
+  return *slot->pass;
+}
 
 // Common monitoring/classification once the corrupted VM is positioned just
-// past `inject_index`. `trial_budget` bounds the monitored run
-// deterministically (BudgetExceeded propagates to the containment boundary).
-// Monitors the caller's machine in place (the caller forks it from golden).
-VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
-                            u64 inject_index, u32 bit, u64 overrun_budget,
-                            const ResourceBudget& trial_budget = {});
+// past `inject_index`. `dirty_regs` masks the registers the injection
+// flipped. `trial_budget` bounds the monitored run deterministically
+// (BudgetExceeded propagates to the containment boundary). Monitors the
+// caller's machine in place (the caller forks it from golden).
+VmTrialResult monitor_trial(const std::string& workload, const VmGoldenPass& golden,
+                            vm::Vm& vm, u64 inject_index, u32 bit, u32 dirty_regs,
+                            u64 overrun_budget, const ResourceBudget& trial_budget,
+                            VmPhaseCounters& counters);
+
+u32 reg_mask(u8 reg) noexcept { return u32{1} << reg; }
 
 }  // namespace
+
+const VmGoldenPass& vm_golden_pass(const std::string& workload) {
+  u64 computed_insns = 0;
+  return acquire_vm_pass(workloads::by_name(workload), computed_insns);
+}
 
 VmTrialResult run_vm_trial(const workloads::Workload& workload, u64 inject_index,
                            u32 bit, u64 overrun_budget) {
-  const GoldenTrace& golden = golden_trace(workload);
+  VmPhaseCounters counters;
+  const VmGoldenPass& golden = acquire_vm_pass(workload, counters.golden_pass);
   if (inject_index >= golden.records.size() ||
       !golden.records[inject_index].wrote_reg) {
     throw std::invalid_argument("inject_index must name a register-writing insn");
@@ -82,32 +129,35 @@ VmTrialResult run_vm_trial(const workloads::Workload& workload, u64 inject_index
   // Re-execute to the injection point, then flip the destination register.
   vm::Vm vm(workload.program);
   for (u64 i = 0; i <= inject_index; ++i) vm.step();
-  const auto& site = golden.records[inject_index];
-  vm.set_reg(site.rd, flip_bit(site.rd_value, bit));
-  return monitor_trial(workload, vm, inject_index, bit, overrun_budget);
+  const VmGoldenRecord& site = golden.records[inject_index];
+  vm.set_reg(site.rd, flip_bit(site.value, bit));
+  return monitor_trial(workload.name, golden, vm, inject_index, bit,
+                       reg_mask(site.rd), overrun_budget, {}, counters);
 }
 
 VmTrialResult run_vm_register_trial(const workloads::Workload& workload,
                                     u64 inject_index, u8 reg, u32 bit,
                                     u64 overrun_budget) {
-  const GoldenTrace& golden = golden_trace(workload);
+  VmPhaseCounters counters;
+  const VmGoldenPass& golden = acquire_vm_pass(workload, counters.golden_pass);
   if (inject_index >= golden.records.size()) {
     throw std::invalid_argument("inject_index out of range");
   }
   vm::Vm vm(workload.program);
   for (u64 i = 0; i <= inject_index; ++i) vm.step();
   vm.set_reg(reg, flip_bit(vm.reg(reg), bit));
-  return monitor_trial(workload, vm, inject_index, bit, overrun_budget);
+  return monitor_trial(workload.name, golden, vm, inject_index, bit, reg_mask(reg),
+                       overrun_budget, {}, counters);
 }
 
 namespace {
 
-VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
-                            u64 inject_index, u32 bit, u64 overrun_budget,
-                            const ResourceBudget& trial_budget) {
-  const GoldenTrace& golden = golden_trace(workload);
+VmTrialResult monitor_trial(const std::string& workload, const VmGoldenPass& golden,
+                            vm::Vm& vm, u64 inject_index, u32 bit, u32 dirty_regs,
+                            u64 overrun_budget, const ResourceBudget& trial_budget,
+                            VmPhaseCounters& counters) {
   VmTrialResult result;
-  result.workload = workload.name;
+  result.workload = workload;
   result.inject_index = inject_index;
   result.bit = bit;
 
@@ -116,9 +166,29 @@ VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
       lat_mem_data = kNever, lat_register = kNever;
   bool pc_stream_diverged = false;
 
+  // Convergence shortcut. While the pc stream stays aligned, `dirty_regs`
+  // holds exactly the registers that differ from golden's, and
+  // `memory_diverged` whether any store differed. Once neither holds and the
+  // next pc is golden's, the machine equals golden from here on (output
+  // aside, which the monitor never compares): no later symptom can fire and
+  // the final registers are golden's, so the trial is decided. Budgeted
+  // trials run to the end, because their aborts depend on real execution.
+  const bool shortcut =
+      convergence_shortcut() && trial_budget.unlimited() && golden.halted;
+  bool memory_diverged = false;
+
+  const u64 golden_size = golden.records.size();
   u64 executed = 0;
-  const u64 budget = golden.records.size() - inject_index + overrun_budget;
+  bool converged = false;
+  const u64 budget = golden_size - inject_index + overrun_budget;
   while (executed < budget) {
+    if (shortcut && dirty_regs == 0 && !memory_diverged && !pc_stream_diverged) {
+      const u64 next_index = inject_index + executed + 1;
+      if (next_index < golden_size && vm.pc() == golden.records[next_index].pc) {
+        converged = true;
+        break;
+      }
+    }
     if (trial_budget.max_retired != 0 && executed >= trial_budget.max_retired) {
       throw BudgetExceeded(BudgetKind::kRetired, trial_budget.max_retired,
                            executed + 1);
@@ -126,6 +196,7 @@ VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
     const auto rec = vm.step();
     if (!rec.has_value()) break;  // halted or faulted previously
     ++executed;
+    ++counters.monitored;
     const u64 latency = executed;
 
     if (rec->fault != isa::ExceptionKind::kNone) {
@@ -134,37 +205,46 @@ VmTrialResult monitor_trial(const workloads::Workload& workload, vm::Vm& vm,
     }
 
     const u64 golden_index = inject_index + executed;
-    if (!pc_stream_diverged && golden_index < golden.records.size()) {
-      const vm::Retired& ref = golden.records[golden_index];
+    if (!pc_stream_diverged && golden_index < golden_size) {
+      const VmGoldenRecord& ref = golden.records[golden_index];
       if (rec->pc != ref.pc) {
         pc_stream_diverged = true;
         lat_cfv = std::min(lat_cfv, latency);
       } else {
-        if (rec->is_store && rec->store_addr != ref.store_addr) {
+        if (rec->is_store && rec->store_addr != ref.addr) {
+          lat_mem_addr = std::min(lat_mem_addr, latency);
+          memory_diverged = true;
+        }
+        if (rec->is_load && rec->load_addr != ref.addr) {
           lat_mem_addr = std::min(lat_mem_addr, latency);
         }
-        if (rec->is_load && rec->load_addr != ref.load_addr) {
-          lat_mem_addr = std::min(lat_mem_addr, latency);
-        }
-        if (rec->is_store && rec->store_addr == ref.store_addr &&
-            rec->store_data != ref.store_data) {
+        if (rec->is_store && rec->store_addr == ref.addr &&
+            rec->store_data != ref.value) {
           lat_mem_data = std::min(lat_mem_data, latency);
+          memory_diverged = true;
         }
-        if (rec->wrote_reg && ref.wrote_reg && rec->rd_value != ref.rd_value) {
-          lat_register = std::min(lat_register, latency);
+        if (rec->wrote_reg && ref.wrote_reg) {
+          if (rec->rd_value != ref.value) {
+            lat_register = std::min(lat_register, latency);
+            dirty_regs |= reg_mask(rec->rd);
+          } else {
+            dirty_regs &= ~reg_mask(rec->rd);
+          }
         }
       }
     }
     if (rec->halted) break;
   }
+  if (converged) ++counters.converged;
 
   // Residual register corruption: the flipped register was never overwritten
-  // and still differs at program end (visible only in final state).
+  // and still differs at program end (visible only in final state). A
+  // converged trial ends with golden's registers.
   bool residual_register = false;
-  if (lat_exception == kNever && !pc_stream_diverged && lat_mem_addr == kNever &&
-      lat_mem_data == kNever && lat_register == kNever) {
+  if (!converged && lat_exception == kNever && !pc_stream_diverged &&
+      lat_mem_addr == kNever && lat_mem_data == kNever && lat_register == kNever) {
     if (vm.status() == vm::Vm::Status::kHalted) {
-      // Compare the final register file against the cached clean-run state.
+      // Compare the final register file against the clean run's.
       for (u8 r = 0; r < isa::kNumArchRegs && !residual_register; ++r) {
         if (vm.reg(r) != golden.final_regs[r]) residual_register = true;
       }
@@ -240,19 +320,19 @@ VmTrialResult aborted_vm_trial(const std::string& workload, u64 inject_index,
   return result;
 }
 
-}  // namespace
-
 // One shard: sample `shard.trial_count` trials from the shard's own RNG
-// stream, then execute them in injection-index order, advancing ONE golden VM
-// incrementally and forking each trial machine from it (COW pages make the
-// fork O(mapped pages)). Per-trial setup cost is thus independent of the
-// injection index instead of re-executing from program start. Each trial body
-// runs inside the containment boundary: a simulator throw or budget violation
-// yields a sim-abort / resource-exhausted record instead of escaping.
+// stream, then execute them in injection-index order. One golden VM walks the
+// sites: it jumps to the nearest golden-pass rung at or below the next site
+// when that rung lies ahead of it, steps the rest of the way, and each trial
+// machine forks from it (COW pages make the fork O(mapped pages)). Each trial
+// body runs inside the containment boundary: a simulator throw or budget
+// violation yields a sim-abort / resource-exhausted record instead of
+// escaping.
 std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
-                                        const ShardSpec& shard) {
+                                        const ShardSpec& shard,
+                                        VmPhaseCounters& counters) {
   const workloads::Workload& wl = workloads::by_name(shard.workload);
-  const GoldenTrace& golden = golden_trace(wl);
+  const VmGoldenPass& golden = acquire_vm_pass(wl, counters.golden_pass);
   Rng rng(shard.seed);
 
   struct PlannedTrial {
@@ -293,7 +373,7 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
     std::vector<u64> sites;
     if (fm.model == FaultModel::kTargeted) {
       for (u64 i = 0; i < golden.records.size(); ++i) {
-        const vm::Retired& r = golden.records[i];
+        const VmGoldenRecord& r = golden.records[i];
         if (fm.target == "store" ? r.is_store : (r.is_load && r.wrote_reg)) {
           sites.push_back(i);
         }
@@ -338,8 +418,7 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
   });
 
   std::vector<VmTrialResult> trials(plans.size());
-  vm::Vm golden_vm(wl.program);
-  u64 steps = 0;
+  vm::Vm golden_vm = golden.rungs.front();
   const u64 page_cap = effective_page_cap(config.trial_budget);
   for (const std::size_t oi : order) {
     const PlannedTrial& plan = plans[oi];
@@ -353,27 +432,32 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
       result.inject_index = plan.index;
       result.bit = plan.bit;
     } else {
-      while (steps <= plan.index) {
+      // The golden machine must have retired the site itself.
+      const u64 target = plan.index + 1;
+      const vm::Vm& rung = golden.rungs[std::min<u64>(target / kVmRungSpacing,
+                                                      golden.rungs.size() - 1)];
+      if (rung.retired_count() > golden_vm.retired_count()) golden_vm = rung;
+      while (golden_vm.retired_count() < target) {
         golden_vm.step();
-        ++steps;
+        ++counters.advance;
       }
       const auto abort = contain_trial([&] {
         vm::Vm faulty = golden_vm;
         faulty.memory().set_page_budget(page_cap);
-        if (plan.flip_reg) {
-          faulty.set_reg(plan.reg, flip_bit(faulty.reg(plan.reg), plan.bit));
-        } else if (config.model == VmFaultModel::kResultBit) {
-          const vm::Retired& site = golden.records[plan.index];
-          const u64 mask = (plan.flip_bits >= 64 ? ~u64{0}
-                                                 : (u64{1} << plan.flip_bits) - 1)
-                           << plan.bit;
-          faulty.set_reg(site.rd, site.rd_value ^ mask);
-        } else {
-          faulty.set_reg(plan.reg, flip_bit(faulty.reg(plan.reg), plan.bit));
-        }
-        trials[plan.slot] = monitor_trial(wl, faulty, plan.index, plan.bit,
+        // Result-bit trials flip the site's destination register (plan.bit is
+        // the lowest of plan.flip_bits adjacent bits); register-bit and
+        // targeted-store trials flip plan.reg.
+        const u8 reg = !plan.flip_reg && config.model == VmFaultModel::kResultBit
+                           ? golden.records[plan.index].rd
+                           : plan.reg;
+        const u64 mask = (plan.flip_bits >= 64 ? ~u64{0}
+                                               : (u64{1} << plan.flip_bits) - 1)
+                         << plan.bit;
+        faulty.set_reg(reg, faulty.reg(reg) ^ mask);
+        trials[plan.slot] = monitor_trial(wl.name, golden, faulty, plan.index,
+                                          plan.bit, reg_mask(reg),
                                           config.overrun_budget,
-                                          config.trial_budget);
+                                          config.trial_budget, counters);
       });
       if (abort) {
         trials[plan.slot] = aborted_vm_trial(wl.name, plan.index, plan.bit, *abort);
@@ -390,6 +474,14 @@ std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
     }
   }
   return trials;
+}
+
+}  // namespace
+
+std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
+                                        const ShardSpec& shard) {
+  VmPhaseCounters counters;
+  return run_vm_shard(config, shard, counters);
 }
 
 u64 config_hash(const VmCampaignConfig& config) {
@@ -433,13 +525,26 @@ VmCampaignResult run_vm_campaign(const VmCampaignConfig& config,
   identity.shard_trials =
       options.shard_trials == 0 ? kDefaultShardTrials : options.shard_trials;
 
+  // Each shard publishes only its own counters when it finishes. It counts
+  // into a local copy: neighbouring shards' slots share cache lines.
+  std::vector<VmPhaseCounters> shard_counters(shards.size());
+
   VmCampaignResult result;
   result.trials = run_sharded_campaign<VmTrialResult>(
       shards, std::move(identity), options,
-      [&config](const ShardSpec& shard) { return run_vm_shard(config, shard); },
+      [&](const ShardSpec& shard) {
+        VmPhaseCounters counters;
+        auto trials = run_vm_shard(config, shard, counters);
+        shard_counters.at(shard.index) = counters;
+        return trials;
+      },
       vm_trial_to_jsonl, vm_trial_from_jsonl,
       [](const VmTrialResult& trial) { return std::string(to_string(trial.outcome)); },
       telemetry);
+  if (telemetry != nullptr) {
+    telemetry->vm = {};
+    for (const auto& counters : shard_counters) telemetry->vm += counters;
+  }
   return result;
 }
 

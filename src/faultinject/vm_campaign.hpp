@@ -4,14 +4,17 @@
 // stream for symptoms and classifies per Table 1.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "faultinject/convergence.hpp"
 #include "faultinject/fault_model.hpp"
 #include "faultinject/outcome.hpp"
+#include "vm/vm.hpp"
 #include "workloads/workloads.hpp"
 
 namespace restore::faultinject {
@@ -108,6 +111,45 @@ VmCampaignResult run_vm_campaign(const VmCampaignConfig& config,
 // outcome even when the simulator throws mid-trial.
 std::vector<VmTrialResult> run_vm_shard(const VmCampaignConfig& config,
                                         const ShardSpec& shard);
+
+// One instruction of a workload's clean run, reduced to what the trial
+// monitor and compaction read.
+struct VmGoldenRecord {
+  u64 pc = 0;
+  u64 addr = 0;   // load or store address
+  u64 value = 0;  // rd_value, or store_data for a store
+  u32 insn = 0;
+  u8 rd = isa::kZeroReg;
+  bool wrote_reg = false;
+  bool is_store = false;
+  bool is_load = false;
+};
+static_assert(sizeof(VmGoldenRecord) == 32);
+
+// Instructions between two rungs of a VM golden pass. A fixed constant, not
+// an option.
+inline constexpr u64 kVmRungSpacing = 1024;
+
+// A workload's VM golden pass: one clean run, the only golden simulation the
+// campaign shares between shards. Shards start each injection site from the
+// nearest rung at or below it, and trials compare their retire stream with
+// `records`. Immutable once published, so any number of threads may copy
+// rungs concurrently (vm/memory.hpp's fork-from-a-still-snapshot contract).
+struct VmGoldenPass {
+  std::vector<VmGoldenRecord> records;  // records[i]: dynamic instruction i
+  std::vector<u64> result_indices;      // indices of register-writing insns
+  // Architectural register file at the end of the clean run (residual-
+  // corruption comparison; avoids re-running a reference VM per trial).
+  std::array<u64, isa::kNumArchRegs> final_regs{};
+  bool halted = false;  // the clean run ended in HALT, not in a fault
+  // rungs[i] is the clean machine after i * kVmRungSpacing instructions.
+  std::vector<vm::Vm> rungs;
+};
+
+// The golden pass of `workload`, computed by the first caller and kept for
+// the life of the process. Callers needing another workload's pass never
+// wait for this one. Throws for an unknown workload.
+const VmGoldenPass& vm_golden_pass(const std::string& workload);
 
 // Run a single trial (exposed for tests): inject into dynamic instruction
 // `inject_index` (must produce a register result), flipping `bit`.

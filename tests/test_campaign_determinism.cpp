@@ -20,6 +20,9 @@
 #ifndef RESTORE_GOLDEN_UARCH_DIGEST
 #error "RESTORE_GOLDEN_UARCH_DIGEST must point at tests/golden/uarch_trace_digest.txt"
 #endif
+#ifndef RESTORE_GOLDEN_VM_DIGEST
+#error "RESTORE_GOLDEN_VM_DIGEST must point at tests/golden/vm_trace_digest.txt"
+#endif
 
 namespace restore::faultinject {
 namespace {
@@ -34,6 +37,13 @@ std::string slurp(const std::string& path) {
 
 std::string temp_trace(const std::string& tag) {
   return testing::TempDir() + "restore_determinism_" + tag + ".jsonl";
+}
+
+std::string hex_digest(const std::string& bytes) {
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(fnv1a(bytes)));
+  return digest;
 }
 
 TEST(CampaignDeterminism, VmCampaignIsByteIdenticalAcrossWorkerCounts) {
@@ -116,6 +126,32 @@ TEST(CampaignDeterminism, UarchPhaseCountersAreIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(CampaignDeterminism, VmPhaseCountersAreIdenticalAcrossWorkerCounts) {
+  VmCampaignConfig config;
+  config.seed = 0xD37A;
+  config.trials_per_workload = 24;
+  config.workloads = {"gzip", "mcf"};
+
+  std::vector<VmPhaseCounters> runs;
+  for (const std::size_t workers : {0u, 1u, 2u, 8u}) {
+    CampaignRunOptions opts;
+    opts.workers = workers;
+    opts.shard_trials = 8;
+    CampaignTelemetry telemetry;
+    run_vm_campaign(config, opts, &telemetry);
+    runs.push_back(telemetry.vm);
+  }
+  EXPECT_GT(runs[0].advance, 0u);
+  EXPECT_GT(runs[0].monitored, 0u);
+  EXPECT_GT(runs[0].converged, 0u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[0].advance, runs[i].advance) << i;
+    EXPECT_EQ(runs[0].monitored, runs[i].monitored) << i;
+    EXPECT_EQ(runs[0].converged, runs[i].converged) << i;
+    EXPECT_EQ(runs[i].golden_pass, 0u) << i;  // the first run's passes serve
+  }
+}
+
 // Absolute pin of uarch trace content. Every other uarch identity test
 // compares two runs of the current code, so a change that shifts both sides
 // alike (say, the catch-up phase starting to record symptoms it used to
@@ -149,14 +185,50 @@ TEST(CampaignDeterminism, UarchTraceMatchesCommittedDigest) {
   }
   EXPECT_GT(caught_up, 0u);
 
-  char digest[17];
-  std::snprintf(digest, sizeof digest, "%016llx",
-                static_cast<unsigned long long>(fnv1a(slurp(opts.out_jsonl))));
   std::string golden = slurp(RESTORE_GOLDEN_UARCH_DIGEST);
   while (!golden.empty() && golden.back() == '\n') golden.pop_back();
-  EXPECT_EQ(golden, digest)
+  EXPECT_EQ(golden, hex_digest(slurp(opts.out_jsonl)))
       << "uarch trace content changed. If the change is intended, write the "
          "new digest into tests/golden/uarch_trace_digest.txt.";
+}
+
+// Absolute pin of VM trace content, one digest per campaign: the default
+// result-bit model, the register-bit model and the targeted-store model,
+// which flips a random register at a store. The digests were recorded before
+// the golden pass and the convergence shortcut existed; every campaign has
+// converged trials, so the pin covers each way the shortcut's dirty-register
+// mask is seeded.
+TEST(CampaignDeterminism, VmTraceMatchesCommittedDigest) {
+  struct Case {
+    std::string name;
+    VmCampaignConfig config;
+  };
+  std::vector<Case> cases(3);
+  cases[0].name = "result-bit";
+  cases[1].name = "register-bit";
+  cases[1].config.model = VmFaultModel::kRegisterBit;
+  cases[2].name = "targeted-store";
+  cases[2].config.fault_model.model = FaultModel::kTargeted;
+  cases[2].config.fault_model.target = "store";
+
+  std::string digests;
+  for (auto& [name, config] : cases) {
+    config.seed = 0xD379;
+    config.trials_per_workload = 24;
+    config.workloads = {"gzip", "mcf"};
+    CampaignRunOptions opts;
+    opts.workers = 2;
+    opts.shard_trials = 8;
+    opts.out_jsonl = temp_trace("vm_golden_digest_" + name);
+    CampaignTelemetry telemetry;
+    const auto result = run_vm_campaign(config, opts, &telemetry);
+    ASSERT_EQ(result.trials.size(), 48u) << name;
+    EXPECT_GT(telemetry.vm.converged, 0u) << name;
+    digests += name + ' ' + hex_digest(slurp(opts.out_jsonl)) + '\n';
+  }
+  EXPECT_EQ(slurp(RESTORE_GOLDEN_VM_DIGEST), digests)
+      << "VM trace content changed. If the change is intended, write the new "
+         "digests into tests/golden/vm_trace_digest.txt.";
 }
 
 // Expanded fault models draw their plans from per-shard substreams

@@ -99,6 +99,45 @@ TEST(VmCampaign, FlippingBranchOperandCausesCfv) {
   EXPECT_EQ(result.latency, 2u);  // divergence visible at the branch target
 }
 
+TEST(VmCampaign, JumpThroughOverwrittenTargetRegisterIsCfv) {
+  // The jalr overwrites its corrupted target register with the golden link
+  // value, so right after it every register and all memory equal golden's;
+  // only the next pc differs. The convergence shortcut must not stop here.
+  const auto program = isa::assemble(
+      "main:\n"
+      "  la r1, target\n"  // 3 insns; the last writes the jump target
+      "  jalr r1, r1\n"
+      "target:\n"
+      "  li r2, 111\n"
+      "  out r2\n"
+      "  halt\n");
+  workloads::Workload wl;
+  wl.name = "jalr-link-test";
+  wl.program = program;
+  const auto result = run_vm_trial(wl, 2, 2);
+  EXPECT_EQ(result.outcome, VmOutcome::kCfv);
+  EXPECT_EQ(result.latency, 2u);  // divergence visible at the jump target
+}
+
+TEST(VmCampaign, DeadFlipStillMeetsTheCleanRunsFault) {
+  // The flipped result is dead, so the trial equals golden again right after
+  // the next instruction; but this clean run ends in a fault, which the
+  // trial must still raise.
+  const auto program = isa::assemble(
+      "main:\n"
+      "  li r1, 5\n"  // inject here: result dead
+      "  li r1, 7\n"
+      "  li r3, 0\n"
+      "  ld r2, 0(r3)\n"  // page 0 is unmapped
+      "  halt\n");
+  workloads::Workload wl;
+  wl.name = "faulting-golden-test";
+  wl.program = program;
+  const auto result = run_vm_trial(wl, 0, 3);
+  EXPECT_EQ(result.outcome, VmOutcome::kException);
+  EXPECT_EQ(result.latency, 3u);
+}
+
 TEST(VmCampaign, FlippingStoreDataIsMemData) {
   const auto program = isa::assemble(
       "main:\n"
